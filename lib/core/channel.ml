@@ -124,13 +124,6 @@ let send_deadline t ~deadline payload =
             (queue_buf t buf payload :> (unit, [ error | `Timeout ]) result)
       end
 
-(* Deprecated spin-count variant: each legacy spin polled once and burned
-   10 instructions, so the equivalent time budget is
-   [max_spins * 10 * instr_ns] from now. *)
-let send_timeout t ?(max_spins = 100_000) payload =
-  let deadline = Api.now t.t_api + (max_spins * 10 * Api.instr_ns t.t_api) in
-  send_deadline t ~deadline payload
-
 let sent t = t.t_sent
 
 let create_rx api ?(depth = 4) ?semaphore () =

@@ -61,15 +61,6 @@ val try_send : tx -> Bytes.t -> (unit, error) result
 val send_deadline :
   tx -> deadline:int -> Bytes.t -> (unit, [ error | `Timeout ]) result
 
-(** [send_timeout t payload] is the deprecated spin-count variant of
-    {!send_deadline}: [max_spins] (default 100_000) legacy polls are
-    converted to the equivalent virtual-time budget
-    ([max_spins * 10 * instr_ns] from now), so the actual duration
-    depends on the node's cost model. New code should state a deadline
-    directly. *)
-val send_timeout :
-  tx -> ?max_spins:int -> Bytes.t -> (unit, [ error | `Timeout ]) result
-
 (** Messages queued so far. *)
 val sent : tx -> int
 

@@ -79,7 +79,6 @@ type t = {
       (* last observed G_doorbell_seq per communication buffer; the
          per-endpoint shadow scan runs only when one changed *)
   mutable wakeup_hook : (ep:int -> unit) option;
-  mutable trace : Flipc_sim.Trace.t option;
   mutable obs : Obs.t option;
 }
 
@@ -125,7 +124,6 @@ let create ?(shard = (0, 1)) ~sim ~node ~comms ~port ~dma ~transport () =
        bit-identical with pre-sharding builds; higher shards decorrelate
        their poll jitter. *)
     prng = Prng.create ~seed:(0x5EED + node + (shard_index * 0x1003F));
-    trace = None;
     obs = None;
     stats =
       {
@@ -161,7 +159,6 @@ let shard t = t.shard
 let shard_count t = t.shard_count
 let stats t = t.stats
 let set_wakeup_hook t f = t.wakeup_hook <- Some f
-let set_trace t trace = t.trace <- Some trace
 
 (* Which shard of a [count]-way partition owns node-global endpoint [g].
    The machine's delivery router and the application library's poke
@@ -205,30 +202,15 @@ let set_obs t obs =
 
 let obs t = t.obs
 
-(* Typed trace event; one branch when tracing is off. [ev] is a thunk so
-   disabled tracing never allocates the event. *)
-let emit t ev =
-  match t.obs with
-  | Some o when Obs.tracing o -> Obs.event o (ev ())
-  | _ -> ()
+(* Typed trace events. Call sites guard on [tracing] before building
+   the event, so disabled tracing allocates nothing: neither the event
+   nor a thunk to build it. *)
+let tracing t = match t.obs with Some o -> Obs.tracing o | None -> false
+let event t ev = match t.obs with Some o -> Obs.event o ev | None -> ()
 
 (* Latency stamping is always on when an observability bundle is
    attached: it costs host time only, never virtual time. *)
 let lat t f = match t.obs with Some o -> f (Obs.latency o) | None -> ()
-
-(* With no trace attached, [Format.ikfprintf] consumes the arguments
-   without interpreting the format string: the disabled path formats
-   nothing (unlike [Fmt.kstr], which builds and then discards the
-   string). *)
-let trace t fmt =
-  match t.trace with
-  | Some tr ->
-      Flipc_sim.Trace.recordf tr ~now:(Sim.now t.sim)
-        ~tag:
-          (if t.shard_count = 1 then Printf.sprintf "engine-%d" t.node
-           else Printf.sprintf "engine-%d.%d" t.node t.shard)
-        fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 (* [poked] stays set across an iteration: the engine only parks after a
    full iteration during which nobody poked it, closing the race where a
@@ -251,9 +233,10 @@ let deliver t image =
   if not (Address.is_null dest) then begin
     let ep = Address.endpoint dest in
     lat t (fun l -> Latency.wire_rx l ~now:(Sim.now t.sim) ~node:t.node ~ep);
-    emit t (fun () ->
-        Event.Wire_rx
-          { node = t.node; ep; mid = Msg_buffer.msg_id_of_image image })
+    if tracing t then
+      event t
+        (Event.Wire_rx
+           { node = t.node; ep; mid = Msg_buffer.msg_id_of_image image })
   end;
   Queue.push image t.incoming;
   poke t
@@ -309,14 +292,15 @@ let handle_verified t image =
   let discard reason global_ep =
     if global_ep >= 0 then
       lat t (fun l -> Latency.discarded l ~node:t.node ~ep:global_ep);
-    emit t (fun () ->
-        Event.Drop
-          {
-            node = t.node;
-            ep = global_ep;
-            mid = Msg_buffer.msg_id_of_image image;
-            reason;
-          })
+    if tracing t then
+      event t
+        (Event.Drop
+           {
+             node = t.node;
+             ep = global_ep;
+             mid = Msg_buffer.msg_id_of_image image;
+             reason;
+           })
   in
   if Address.is_null dest then begin
     discard Event.Bad_destination (-1);
@@ -368,7 +352,6 @@ let handle_verified t image =
             | None ->
                 Drop_counter.engine_increment t.port layout ~ep;
                 t.stats.drops <- t.stats.drops + 1;
-                trace t "discard: no posted buffer on ep %d" global_ep;
                 discard Event.No_posted_buffer global_ep;
                 bump_global t layout Layout.Engine_drops
             | Some (buf_addr, cursor) -> (
@@ -394,16 +377,16 @@ let handle_verified t image =
                     Msg_buffer.set_state t.port layout ~buf Msg_buffer.Complete;
                     Buffer_queue.engine_advance t.port layout ~ep ~cursor;
                     t.stats.recvs <- t.stats.recvs + 1;
-                    trace t "deposit: ep %d buffer %d" global_ep buf;
                     lat t (fun l ->
                         Latency.deposited l ~node:t.node ~ep:global_ep);
-                    emit t (fun () ->
-                        Event.Deposit
-                          {
-                            node = t.node;
-                            ep = global_ep;
-                            mid = Msg_buffer.msg_id_of_image image;
-                          });
+                    if tracing t then
+                      event t
+                        (Event.Deposit
+                           {
+                             node = t.node;
+                             ep = global_ep;
+                             mid = Msg_buffer.msg_id_of_image image;
+                           });
                     if t.config.Config.engine_tx_batch = 1 then
                       bump_global t layout Layout.Engine_recvs
                     else
@@ -442,15 +425,15 @@ let handle_incoming t ~first image =
           Msg_buffer.image_checksum_ok image)
   then begin
     t.stats.corrupt_frames <- t.stats.corrupt_frames + 1;
-    trace t "discard: frame checksum mismatch";
     (* mid 0, not the image's: a checksum-failed frame's id bits are as
        suspect as the rest, and a corrupted id would attach this discard
        to an unrelated span. The original send's span keeps its
        [Fault_corrupt] marker, which Causal classifies as a wire-stage
        corruption stall. *)
-    emit t (fun () ->
-        Event.Drop
-          { node = t.node; ep = -1; mid = 0; reason = Event.Corrupt_frame })
+    if tracing t then
+      event t
+        (Event.Drop
+           { node = t.node; ep = -1; mid = 0; reason = Event.Corrupt_frame })
   end
   else handle_verified t image
 
@@ -565,14 +548,15 @@ let process_sends t layout ~global_ep ~ep ~burst =
               let refused reason =
                 if not (Address.is_null dest) then
                   lat t (fun l -> Latency.send_refused l ~dst_node ~dst_ep);
-                emit t (fun () ->
-                    Event.Drop
-                      {
-                        node = t.node;
-                        ep = global_ep;
-                        mid = Msg_buffer.msg_id t.port layout ~buf;
-                        reason;
-                      })
+                if tracing t then
+                  event t
+                    (Event.Drop
+                       {
+                         node = t.node;
+                         ep = global_ep;
+                         mid = Msg_buffer.msg_id t.port layout ~buf;
+                         reason;
+                       })
               in
               (if not (destination_allowed t layout ~ep ~dest) then begin
                  t.stats.forbidden <- t.stats.forbidden + 1;
@@ -585,19 +569,19 @@ let process_sends t layout ~global_ep ~ep ~burst =
                  match t.transport.transmit ~dst:dest image with
                  | Ok () ->
                      t.stats.sends <- t.stats.sends + 1;
-                     trace t "transmit: ep %d -> %a" ep Address.pp dest;
                      lat t (fun l ->
                          Latency.engine_tx l ~now:(Sim.now t.sim) ~dst_node
                            ~dst_ep);
-                     emit t (fun () ->
-                         Event.Engine_tx
-                           {
-                             node = t.node;
-                             ep = global_ep;
-                             dst_node;
-                             dst_ep;
-                             mid = Msg_buffer.msg_id_of_image image;
-                           });
+                     if tracing t then
+                       event t
+                         (Event.Engine_tx
+                            {
+                              node = t.node;
+                              ep = global_ep;
+                              dst_node;
+                              dst_ep;
+                              mid = Msg_buffer.msg_id_of_image image;
+                            });
                      if tx_batch = 1 then
                        bump_global t layout Layout.Engine_sends
                      else incr ok_sends
@@ -617,12 +601,10 @@ let process_sends t layout ~global_ep ~ep ~burst =
 
 let park t =
   t.stats.parks <- t.stats.parks + 1;
-  trace t "park after %d idle iterations" t.idle;
-  emit t (fun () -> Event.Engine_park { node = t.node; idle = t.idle });
+  if tracing t then event t (Event.Engine_park { node = t.node; idle = t.idle });
   Sim.suspend (fun resume -> t.parked <- Some resume);
   t.parked <- None;
-  trace t "wake";
-  emit t (fun () -> Event.Engine_wake { node = t.node });
+  if tracing t then event t (Event.Engine_wake { node = t.node });
   t.idle <- 0
 
 let poll_delay t =
@@ -741,7 +723,7 @@ let check_doorbells t =
         t.pending.(g) <- true;
         t.hot.(g) <- t.config.Config.engine_park_after;
         t.stats.doorbell_hits <- t.stats.doorbell_hits + 1;
-        emit t (fun () -> Event.Doorbell { node = t.node; ep = g })
+        if tracing t then event t (Event.Doorbell { node = t.node; ep = g })
       end
     done
 

@@ -67,6 +67,20 @@ include Transport.Defaults (struct
 end)
 
 let close t = t.closed <- true
+
+let tap t =
+  Option.map
+    (fun obs ->
+      let addr = address t in
+      {
+        Transport.obs;
+        node = Flipc.Address.node addr;
+        ep = Flipc.Address.endpoint addr;
+        tx_mid = (fun () -> Api.last_msg_id t.api);
+        rx_mid = (fun () -> Api.last_recv_msg_id t.api);
+      })
+    (Api.obs t.api)
+
 let drops t = Channel.drops t.rx
 let corrupt_frames t = Channel.corrupt_frames t.rx
 

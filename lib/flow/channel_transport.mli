@@ -60,6 +60,12 @@ val address : t -> Flipc.Address.t
     [`Closed] if already connected or closed. *)
 val connect : t -> Flipc.Address.t -> (unit, Transport.error) result
 
+(** The observability tap for layers stacked on this connection: the
+    machine's bundle, the receive endpoint's address, and the
+    attachment's last sent/received message ids. [None] when the
+    attachment has no bundle. *)
+val tap : t -> Transport.tap option
+
 (** {1 Counters} *)
 
 (** Transport discards at this side's receive endpoint since the last

@@ -8,6 +8,33 @@ let error_to_string = function
   | `Peer_dead -> "peer unreachable (retry budget exhausted)"
   | `Api e -> "transport: " ^ Flipc.Api.error_to_string e
 
+type tap = {
+  obs : Flipc_obs.Obs.t;
+  node : int;
+  ep : int;
+  tx_mid : unit -> int;
+  rx_mid : unit -> int;
+}
+
+let emit tap ev =
+  match tap with
+  | Some tp when Flipc_obs.Obs.tracing tp.obs ->
+      Flipc_obs.Obs.event tp.obs (ev tp)
+  | _ -> ()
+
+let probes tap ~layer fields =
+  match tap with
+  | None -> ()
+  | Some tp ->
+      let pfx = Printf.sprintf "node%d.%s.ep%d." tp.node layer tp.ep in
+      List.iter
+        (fun (name, f) ->
+          Flipc_obs.Metrics.probe
+            (Flipc_obs.Obs.metrics tp.obs)
+            (pfx ^ name)
+            (fun () -> float_of_int (f ())))
+        fields
+
 module type S = sig
   type t
 

@@ -18,7 +18,9 @@
     - {!Window_layer} — credit-window flow control as a functor over
       {e any} transport.
     - {!Retrans_layer} — exactly-once in-order delivery (selective
-      repeat + SACK) as a functor over {e any} transport.
+      repeat + SACK, with a go-back-N ablation mode) as a functor over
+      {e any} transport. It is the library's only retransmission
+      protocol, and {!Window_layer} its only credit protocol.
 
     Because the layers are functors over {!S} and themselves satisfy
     {!S}, stacks compose freely: [Retrans_layer (Channel_transport)],
@@ -46,6 +48,30 @@ type error =
   [ `Timeout | `Closed | `No_buffer | `Peer_dead | `Api of Flipc.Api.error ]
 
 val error_to_string : error -> string
+
+(** Where a layer reports what it does: the machine's observability
+    bundle, the identity of the connection's base endpoint, and the
+    message ids of the base's most recent send and receive (so a layer
+    can correlate its own sequence numbers with the wire messages that
+    carried them). {!Channel_transport.tap} builds one. Layers emit
+    their protocol events ({!Flipc_obs.Event.Frame_tx}, [Ack_tx],
+    [Frame_deliver], [Credit_grant], [Window_send]) under
+    [(node, ep)] and register [node<i>.<layer>.ep<n>.*] probes. *)
+type tap = {
+  obs : Flipc_obs.Obs.t;
+  node : int;
+  ep : int;
+  tx_mid : unit -> int;
+  rx_mid : unit -> int;
+}
+
+(** [emit tap ev] records [ev tap] when a tap is attached and its bundle
+    is tracing; [ev] is not run otherwise. *)
+val emit : tap option -> (tap -> Flipc_obs.Event.t) -> unit
+
+(** [probes tap ~layer fields] registers each [(name, f)] as the
+    pull-probe [node<i>.<layer>.ep<n>.<name>]; a no-op without a tap. *)
+val probes : tap option -> layer:string -> (string * (unit -> int)) list -> unit
 
 (** The transport signature proper. *)
 module type S = sig

@@ -1,8 +1,8 @@
 (* Frames on the base transport carry a one-byte tag:
      tag 0: data   [0x00 | application payload]
      tag 1: credit [0x01 | cumulative consumed count, int32 LE]
-   Cumulative credit counts make credit loss self-healing, exactly as
-   in the endpoint-pair {!Window} module. *)
+   Cumulative credit counts make credit loss self-healing: any later
+   grant stands in for a lost one. *)
 
 let tag_data = '\000'
 let tag_credit = '\001'
@@ -11,6 +11,7 @@ let credit_bytes = 5
 module Make (T : Transport.S) = struct
   type t = {
     base : T.t;
+    tap : Transport.tap option;
     window : int;
     grant_every : int;
     rxq : Bytes.t Queue.t;
@@ -22,25 +23,35 @@ module Make (T : Transport.S) = struct
     mutable closed : bool;
   }
 
-  let create base ~window ?grant_every () =
+  let create base ?tap ~window ?grant_every () =
     if window < 1 then invalid_arg "Window_layer: window < 1";
     let grant_every =
       match grant_every with
       | Some g -> max 1 g
       | None -> max 1 (window / 2)
     in
-    {
-      base;
-      window;
-      grant_every;
-      rxq = Queue.create ();
-      sent = 0;
-      granted = 0;
-      consumed = 0;
-      pending_grants = 0;
-      credit_due = false;
-      closed = false;
-    }
+    let t =
+      {
+        base;
+        tap;
+        window;
+        grant_every;
+        rxq = Queue.create ();
+        sent = 0;
+        granted = 0;
+        consumed = 0;
+        pending_grants = 0;
+        credit_due = false;
+        closed = false;
+      }
+    in
+    Transport.probes tap ~layer:"window"
+      [
+        ("sent", fun () -> t.sent);
+        ("granted", fun () -> t.granted);
+        ("consumed", fun () -> t.consumed);
+      ];
+    t
 
   let capacity t = T.capacity t.base - 1
   let now t = T.now t.base
@@ -56,6 +67,13 @@ module Make (T : Transport.S) = struct
     match T.try_send t.base (encode_credit t.consumed) with
     | Ok () ->
         t.credit_due <- false;
+        Transport.emit t.tap (fun tp ->
+            Flipc_obs.Event.Credit_grant
+              {
+                node = tp.Transport.node;
+                ep = tp.Transport.ep;
+                count = t.consumed;
+              });
         Ok ()
     | Error `No_buffer ->
         (* The base refused transiently; the cumulative count lets any
@@ -113,6 +131,16 @@ module Make (T : Transport.S) = struct
           match T.try_send t.base framed with
           | Ok () ->
               t.sent <- t.sent + 1;
+              Transport.emit t.tap (fun tp ->
+                  Flipc_obs.Event.Window_send
+                    {
+                      node = tp.Transport.node;
+                      ep = tp.Transport.ep;
+                      mid = tp.Transport.tx_mid ();
+                      sent = t.sent;
+                      granted = t.granted;
+                      window = t.window;
+                    });
               Ok ()
           | Error e -> Error e
         end

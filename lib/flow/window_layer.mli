@@ -1,12 +1,13 @@
 (** Credit-window flow control as a functor over any {!Transport.S}.
 
-    The same scheme as {!Window} — the receiver grants cumulative
-    credits as the application consumes, the sender never exceeds
-    [window] unconsumed messages — but expressed as a stackable layer:
+    The receiver grants cumulative credits as the application consumes,
+    and the sender never exceeds [window] unconsumed messages. This is
+    the scheme PAM's active-message facility uses, expressed as a
+    stackable layer:
     [Window_layer (Channel_transport)] reproduces the classic
     flow-controlled channel, and the result is itself a transport, so
     a reliability layer can ride on top ([Retrans_layer (Window_layer
-    (...))] — inexpressible with the endpoint-pair modules).
+    (...))]).
 
     Both directions of the duplex connection are flow-controlled
     independently; data and credit frames share the underlying
@@ -16,7 +17,12 @@
     recovered by any later one. Because credit is granted only when the
     application consumes ({!Transport.S.recv}), the layer's inbound
     queue never holds more than [window] messages — flow control
-    doubles as receive-buffer provisioning. *)
+    doubles as receive-buffer provisioning.
+
+    Created with a {!Transport.tap}, a connection emits [Credit_grant]
+    for every grant the base accepts and [Window_send] (the sender's
+    counters) for every data frame, and registers
+    [node<i>.window.ep<n>.*] probes. *)
 
 module Make (T : Transport.S) : sig
   type t
@@ -45,8 +51,10 @@ module Make (T : Transport.S) : sig
 
   (** [create conn ~window ()] wraps a connected base transport. Both
       ends of the connection must be wrapped with the same [window] and
-      [grant_every] (default [max 1 (window / 2)]). *)
-  val create : T.t -> window:int -> ?grant_every:int -> unit -> t
+      [grant_every] (default [max 1 (window / 2)]). [tap] turns on the
+      events and probes described above. *)
+  val create :
+    T.t -> ?tap:Transport.tap -> window:int -> ?grant_every:int -> unit -> t
 
   (** Sender-side credits currently available. *)
   val credits_available : t -> int

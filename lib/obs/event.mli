@@ -64,7 +64,7 @@ type t =
       seq : int;
       mid : int;
       retransmit : bool;
-    }  (** {!Flipc_flow.Retrans} put frame [seq] on the wire as message
+    }  (** {!Flipc_flow.Retrans_layer} put frame [seq] on the wire as message
            [mid]; retransmissions carry a fresh [mid], linked by [seq] *)
   | Frame_deliver of { node : int; ep : int; seq : int; mid : int }
       (** the receiver released frame [seq] to the application, in order *)
@@ -78,7 +78,7 @@ type t =
       sent : int;
       granted : int;
       window : int;
-    }  (** {!Flipc_flow.Window} sender counters at the moment of a send *)
+    }  (** {!Flipc_flow.Window_layer} sender counters at the moment of a send *)
   | Drops_read of { node : int; ep : int; count : int }
       (** the application read-and-reset [count] drops on [ep] *)
   | Engine_park of { node : int; idle : int }

@@ -1,5 +1,4 @@
 module Summary = Flipc_stats.Summary
-module Histogram = Flipc_stats.Histogram
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
@@ -87,7 +86,7 @@ let histo_summary h = Sketch.summary h.sketch
 let probe t name f =
   check_name name;
   (* Last registration wins: probes are re-registered when a component is
-     rebuilt (e.g. a fresh Retrans sender on the same endpoints). *)
+     rebuilt (e.g. a fresh reliable connection on the same endpoint). *)
   Hashtbl.replace t.tbl name (Probe f)
 
 (* ------------------------------------------------------------------ *)

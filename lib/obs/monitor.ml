@@ -19,6 +19,7 @@ type t = {
   limit : int;
   mutable violations : violation list; (* newest first *)
   mutable events_seen : int;
+  kinds : (string, int) Hashtbl.t; (* events seen per {!Event.kind} *)
   fired : (string, unit) Hashtbl.t; (* one report per (rule, site) *)
   mutable checks : check list;
   (* per-invariant running state, keyed by (node, global endpoint) *)
@@ -59,6 +60,8 @@ let record t ~now ~rule ~node ~ep ~mid detail =
    message's causal span. *)
 let on_event t now ev =
   t.events_seen <- t.events_seen + 1;
+  let kind = Event.kind ev in
+  set t.kinds kind (get t.kinds kind + 1);
   let ev_mid = Option.value (Event.mid ev) ~default:0 in
   (match ev with
   | Event.Frame_deliver { node; ep; seq; mid } ->
@@ -225,6 +228,7 @@ let create ?(limit = 16) ?(history = fun _ -> "") () =
     limit;
     violations = [];
     events_seen = 0;
+    kinds = Hashtbl.create 16;
     fired = Hashtbl.create 16;
     checks = [];
     deliver_last = Hashtbl.create 16;
@@ -268,6 +272,9 @@ let add_check t ~rule ~node f =
 let violations t = List.rev t.violations
 let clean t = t.violations = []
 let events_seen t = t.events_seen
+
+let event_counts t =
+  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.kinds [])
 
 let pp_violation fmt v =
   Fmt.pf fmt "@[<v>INVARIANT VIOLATION [%s] at vt=%a on node %d%s@,  %s@]"

@@ -74,6 +74,10 @@ val violations : t -> violation list
 
 val clean : t -> bool
 val events_seen : t -> int
+
+(** Events seen per {!Event.kind}, sorted by kind. *)
+val event_counts : t -> (string * int) list
+
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> t -> unit
 

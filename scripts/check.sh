@@ -137,7 +137,6 @@ for fabric in ('mesh', 'ethernet'):
     assert gbn['delivered'] == doc['messages'], f'{fabric}: gbn lost messages'
     assert sr['retransmits'] < gbn['retransmits'], \
         f'{fabric}: selective repeat not cheaper than go-back-N'
-    assert sr['srtt_ns'] > 0, f'{fabric}: RTT estimator never sampled'
 "
 else
   grep -q '"experiment":"retrans_modes"' BENCH_retrans_modes.json
@@ -197,6 +196,8 @@ assert doc['monitor_violations'] == 0, 'invariant monitor fired'
 assert not doc['stalled'], 'a progress watchdog expired'
 assert doc['spans_traced'] > 0, 'causal tracing captured nothing'
 assert doc['monitor_events_seen'] > 0, 'monitors saw no events'
+for kind in ('frame_tx', 'ack_tx'):
+    assert doc['event_counts'].get(kind, 0) > 0, f'retransmission layer emitted no {kind}'
 diff = json.load(open('$obs_tmp/doctor_diff.json'))
 assert diff['violations_added'] == 0, 'self-diff invented a regression'
 assert diff['sites'], 'cross-run diff aligned no message sites'

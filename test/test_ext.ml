@@ -144,23 +144,25 @@ let test_channel_try_send_exhaustion () =
       | Error e -> Alcotest.fail (Channel.error_to_string e));
   finish machine
 
-let test_channel_send_timeout () =
+let test_channel_send_deadline () =
   let machine = mesh2 () in
   Machine.spawn_app machine ~node:0 (fun api ->
       let dest = Address.make ~node:1 ~endpoint:0 in
       let tx = ok_ch (Channel.create_tx api ~dest ~pool:1 ()) in
-      (match Channel.send_timeout tx (Bytes.of_string "a") with
+      (* Budgets of [polls] 10-instruction polls from now. *)
+      let within polls = Api.now api + (polls * 10 * Api.instr_ns api) in
+      (match Channel.send_deadline tx ~deadline:(within 100_000) (Bytes.of_string "a") with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "pool available: first send must succeed");
-      (* The single buffer is in flight; three 10 ns polls cannot cover
-         the engine's transmit latency, so the bounded wait gives up
+      (* The single buffer is in flight; three polls' worth of time cannot
+         cover the engine's transmit latency, so the bounded wait gives up
          (where [send] would keep spinning). *)
-      (match Channel.send_timeout tx ~max_spins:3 (Bytes.of_string "b") with
+      (match Channel.send_deadline tx ~deadline:(within 3) (Bytes.of_string "b") with
       | Error `Timeout -> ()
-      | Ok () -> Alcotest.fail "expected timeout on a 30 ns bound"
+      | Ok () -> Alcotest.fail "expected timeout on a 3-poll bound"
       | Error _ -> Alcotest.fail "expected timeout");
       (* A generous bound outlives the transmit and reclaims. *)
-      match Channel.send_timeout tx (Bytes.of_string "c") with
+      match Channel.send_deadline tx ~deadline:(within 100_000) (Bytes.of_string "c") with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "engine running: reclaim must succeed");
   finish machine
@@ -646,7 +648,7 @@ let () =
           Alcotest.test_case "pool recycles" `Quick test_channel_pool_recycles;
           Alcotest.test_case "try_send exhaustion" `Quick
             test_channel_try_send_exhaustion;
-          Alcotest.test_case "send_timeout" `Quick test_channel_send_timeout;
+          Alcotest.test_case "send_deadline" `Quick test_channel_send_deadline;
           Alcotest.test_case "capacity" `Quick test_channel_capacity_checked;
           Alcotest.test_case "recv_wait" `Quick test_channel_recv_wait;
           Alcotest.test_case "corrupt frame skipped" `Quick

@@ -78,32 +78,6 @@ let test_cells () =
   Alcotest.(check string) "us" "16.20" (Table.cell_us 16.2);
   Alcotest.(check string) "int" "42" (Table.cell_i 42)
 
-module Histogram = Flipc_stats.Histogram
-
-let test_histogram_binning () =
-  let h = Histogram.create ~bins:4 ~lo:0. ~hi:4. () in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.9; 3.99; -1.; 4.; 100. ];
-  Alcotest.(check int) "total" 7 (Histogram.total h);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check (array int)) "counts" [| 1; 2; 0; 1 |] (Histogram.counts h);
-  let lo, hi = Histogram.bin_range h 1 in
-  checkf "bin lo" 1. lo;
-  checkf "bin hi" 2. hi
-
-let test_histogram_of_samples () =
-  let h = Histogram.of_samples ~bins:5 [ 1.; 2.; 3.; 4.; 5. ] in
-  Alcotest.(check int) "all in range" 5 (Histogram.total h);
-  Alcotest.(check int) "no underflow" 0 (Histogram.underflow h);
-  Alcotest.(check int) "no overflow" 0 (Histogram.overflow h);
-  Alcotest.(check int) "counts sum" 5
-    (Array.fold_left ( + ) 0 (Histogram.counts h))
-
-let test_histogram_render () =
-  let h = Histogram.of_samples ~bins:2 [ 1.; 1.; 9. ] in
-  let s = Fmt.str "%a" Histogram.pp h in
-  check_bool "has bars" true (contains s "#")
-
 let test_table_csv () =
   let t = Table.create ~title:"T" [ "a"; "b" ] in
   Table.add_row t [ "x,y"; "2" ];
@@ -136,11 +110,5 @@ let () =
           Alcotest.test_case "mismatch" `Quick test_table_mismatch;
           Alcotest.test_case "cells" `Quick test_cells;
           Alcotest.test_case "csv" `Quick test_table_csv;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "of_samples" `Quick test_histogram_of_samples;
-          Alcotest.test_case "render" `Quick test_histogram_render;
         ] );
     ]
