@@ -105,9 +105,14 @@ let image_checksum_ok bytes =
   && Checksum.fold30 (Checksum.of_bytes ~len:(len - Config.checksum_bytes) bytes)
      = checksum_of_image bytes
 
+(* Corruption can set a header word outside the address encoding; it
+   decodes as null, so the engine's checksum check discards the frame as
+   corrupt instead of the decode raising in the NIC callback. *)
 let dest_of_image bytes =
   if Bytes.length bytes < 4 then invalid_arg "Msg_buffer.dest_of_image: short";
-  Address.of_word (Int32.to_int (Bytes.get_int32_le bytes 0))
+  match Address.of_word (Int32.to_int (Bytes.get_int32_le bytes 0)) with
+  | dest -> dest
+  | exception Invalid_argument _ -> Address.null
 
 let msg_id_of_image bytes =
   if Bytes.length bytes < 8 then 0
