@@ -38,7 +38,15 @@ let seq_of_payload b = Int64.to_int (Bytes.get_int64_le b 0)
 (* One sender streams [total] numbered messages to one receiver using
    the burst interface sized by the config knobs; the receiver drains
    with [receive_burst] and records the sequence numbers it saw. Returns
-   (received sequence, receiver-side engine drops, monitor). *)
+   (received sequence, receiver-side engine drops, sent, monitor).
+
+   On a clean fabric the sender holds sent minus consumed (received and
+   re-posted) to the receive ring's depth, so every arriving message
+   finds a posted buffer. Without that bound the loop is open: batched
+   sends outrun a receiver draining one at a time, and the engine
+   legitimately discards a message that arrives while the ring holds no
+   posted buffer. Under faults a lost message would strand its credit,
+   so the faulted runs stay open-loop. *)
 let run_numbered ~config ?fault ~total () =
   let machine =
     match fault with
@@ -53,7 +61,7 @@ let run_numbered ~config ?fault ~total () =
   let received = ref [] in
   let drops = ref 0 in
   let deadline = Flipc_sim.Vtime.ms 30 in
-  let sent = ref 0 in
+  let sent = ref 0 and consumed = ref 0 in
   Machine.spawn_app ~name:"rx" machine ~node:1 (fun api ->
       let ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
       for _ = 1 to qcap do
@@ -71,7 +79,8 @@ let run_numbered ~config ?fault ~total () =
             received := seq_of_payload (Api.read_payload api out.(i) 8)
                         :: !received
           done;
-          ignore (ok (Api.post_receive_burst api ep (Array.sub out 0 n)))
+          ignore (ok (Api.post_receive_burst api ep (Array.sub out 0 n)));
+          consumed := !consumed + n
         end;
         drops := !drops + Api.drops_read_and_reset api ep
       done);
@@ -85,9 +94,15 @@ let run_numbered ~config ?fault ~total () =
       done;
       let next = ref 0 in
       let stage = Array.make burst (Queue.peek free) in
+      let room () =
+        if fault = None then qcap - (!sent - !consumed) else burst
+      in
       while !next < total && Sim.now sim < deadline do
-        let n = ref 0 in
-        while !n < burst && !next + !n < total && not (Queue.is_empty free) do
+        let n = ref 0 and room = room () in
+        while
+          !n < burst && !n < room && !next + !n < total
+          && not (Queue.is_empty free)
+        do
           let b = Queue.pop free in
           Api.write_payload api b (seq_payload (!next + !n));
           stage.(!n) <- b;
@@ -125,33 +140,46 @@ let batch_print (tx, s, r) =
 (* Fault-free: every batch-size combination must deliver every message
    exactly once, in order, with clean monitors — byte-identical
    semantics to the singleton path. *)
+let batched_fifo_failure (tx_batch, send_burst, recv_burst) =
+  let config =
+    {
+      Config.default with
+      Config.engine_tx_batch = tx_batch;
+      app_send_burst = send_burst;
+      app_recv_burst = recv_burst;
+    }
+  in
+  let total = 40 in
+  let received, drops, sent, mon = run_numbered ~config ~total () in
+  if sent <> total then Some (Fmt.str "sent %d of %d" sent total)
+  else if drops <> 0 then Some (Fmt.str "unexpected engine drops: %d" drops)
+  else if received <> List.init total Fun.id then
+    Some
+      (Fmt.str "out of order or lost: got %d msgs, FIFO %b"
+         (List.length received)
+         (List.sort compare received = received))
+  else if not (Monitor.clean mon) then
+    Some (Fmt.str "monitor violations:@ %a" Monitor.pp_report mon)
+  else None
+
 let batched_fifo_prop =
   QCheck.Test.make ~name:"batched path: FIFO & conservation, any batch size"
     ~count:20
     (QCheck.make ~print:batch_print batch_gen)
-    (fun (tx_batch, send_burst, recv_burst) ->
-      let config =
-        {
-          Config.default with
-          Config.engine_tx_batch = tx_batch;
-          app_send_burst = send_burst;
-          app_recv_burst = recv_burst;
-        }
-      in
-      let total = 40 in
-      let received, drops, sent, mon = run_numbered ~config ~total () in
-      if sent <> total then
-        QCheck.Test.fail_reportf "sent %d of %d" sent total;
-      if drops <> 0 then
-        QCheck.Test.fail_reportf "unexpected engine drops: %d" drops;
-      if received <> List.init total Fun.id then
-        QCheck.Test.fail_reportf "out of order or lost: got %d msgs, FIFO %b"
-          (List.length received)
-          (List.sort compare received = received);
-      if not (Monitor.clean mon) then
-        QCheck.Test.fail_reportf "monitor violations:@ %a" Monitor.pp_report
-          mon;
-      true)
+    (fun b ->
+      match batched_fifo_failure b with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* Batch sizes that once drove the sender past the receive ring: a
+   5- or 8-message engine batch against a one-at-a-time receiver. *)
+let test_batched_fifo_fixed () =
+  List.iter
+    (fun b ->
+      Option.iter
+        (Alcotest.failf "%s: %s" (batch_print b))
+        (batched_fifo_failure b))
+    [ (5, 7, 1); (8, 4, 1) ]
 
 (* Under drop faults the raw path may lose messages in the fabric, but
    whatever arrives must still be a FIFO subsequence of what was sent
@@ -426,6 +454,8 @@ let () =
       ( "batching",
         [
           QCheck_alcotest.to_alcotest batched_fifo_prop;
+          Alcotest.test_case "batched path: FIFO & conservation, fixed sizes"
+            `Quick test_batched_fifo_fixed;
           QCheck_alcotest.to_alcotest faulted_batch_prop;
         ] );
       ( "doorbell",
