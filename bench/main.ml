@@ -35,15 +35,16 @@ module Stackflow = Flipc_workload.Stackflow
 module Retrans_layer = Flipc_flow.Retrans_layer
 module RC = Flipc_flow.Retrans_layer.Make (Flipc_flow.Channel_transport)
 
-(* One stamped point-to-point reliable flow, node 0 -> node 1: each
-   8-byte payload carries its send time, so recovery cost lands in the
-   latency tail, where a real-time system feels it. *)
-let stamped_pair ?cost ~fault ~retrans ~pace_ns ~messages kind =
-  let p = Stackflow.pair ?cost ~fault ~retrans ~pace_ns ~kind ~messages () in
-  Option.iter
-    (fun e -> failwith (Flipc_flow.Transport.error_to_string e))
-    p.Stackflow.error;
-  p
+(* Integers from the comma-separated environment variable [name],
+   [default] when it is unset or empty. *)
+let env_ints name ~default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some s -> (
+      try List.map int_of_string (String.split_on_char ',' s)
+      with Failure _ ->
+        Fmt.epr "bench: %s=%S: expected comma-separated integers@." name s;
+        exit 2)
 
 let summary_fields (s : Summary.t) =
   [
@@ -59,10 +60,7 @@ let summary_fields (s : Summary.t) =
 
 let write_bench_json name fields =
   let file = Printf.sprintf "BENCH_%s.json" name in
-  let oc = open_out file in
-  Json.to_channel oc (Json.Obj (("experiment", Json.String name) :: fields));
-  output_char oc '\n';
-  close_out oc;
+  Json.to_file file (Json.Obj (("experiment", Json.String name) :: fields));
   Fmt.pr "wrote %s@.@." file
 
 (* ------------------------------------------------------------------ *)
@@ -272,34 +270,23 @@ let kkt_port () =
     (Pingpong.measure ~payload_bytes:120 ~exchanges ()).Pingpong
     .aggregate_one_way_us
   in
-  let kkt_on kind cost =
-    let machine = Flipc_kkt.Kkt_flipc.machine ~cost kind () in
+  let one_way machine =
     (Pingpong.run ~machine ~node_a:0 ~node_b:1 ~payload_bytes:120
        ~exchanges:100 ())
       .Pingpong
       .aggregate_one_way_us
   in
-  let native_on kind =
-    let machine =
-      Machine.create ~cost:Flipc_memsim.Cost_model.pc_cluster kind ()
-    in
-    (Pingpong.run ~machine ~node_a:0 ~node_b:1 ~payload_bytes:120
-       ~exchanges:100 ())
-      .Pingpong
-      .aggregate_one_way_us
-  in
+  let kkt_on kind = one_way (Flipc_kkt.Kkt_flipc.machine kind ()) in
+  let native_on kind = one_way (Machine.create kind ()) in
   let row name v =
     Table.add_row t [ name; Table.cell_us v; Fmt.str "%.1fx" (v /. native) ]
   in
   row "native / Paragon mesh" native;
-  row "KKT / Paragon mesh"
-    (kkt_on (Machine.Mesh { cols = 2; rows = 1 }) Flipc_memsim.Cost_model.paragon);
+  row "KKT / Paragon mesh" (kkt_on (Machine.Mesh { cols = 2; rows = 1 }));
   row "native / SCSI cluster" (native_on (Machine.Scsi { nodes = 2 }));
-  row "KKT / SCSI cluster"
-    (kkt_on (Machine.Scsi { nodes = 2 }) Flipc_memsim.Cost_model.pc_cluster);
+  row "KKT / SCSI cluster" (kkt_on (Machine.Scsi { nodes = 2 }));
   row "native / Ethernet cluster" (native_on (Machine.Ethernet { nodes = 2 }));
-  row "KKT / Ethernet cluster"
-    (kkt_on (Machine.Ethernet { nodes = 2 }) Flipc_memsim.Cost_model.pc_cluster);
+  row "KKT / Ethernet cluster" (kkt_on (Machine.Ethernet { nodes = 2 }));
   Table.print t;
   Fmt.pr
     "same library + communication buffer on all platforms (the paper's@.\
@@ -1088,7 +1075,7 @@ let fault_sweep () =
   let messages = 400 in
   let run loss =
     let p =
-      stamped_pair
+      Stackflow.pair
         ~fault:(Faulty.config ~drop:loss ~seed:7 ())
         ~retrans:
           {
@@ -1099,8 +1086,12 @@ let fault_sweep () =
           (* Pace the offered load so the sweep measures transport and
              recovery latency, not window queueing. *)
         ~pace_ns:25_000 ~messages
-        (Machine.Mesh { cols = 2; rows = 1 })
+        ~kind:(Machine.Mesh { cols = 2; rows = 1 })
+        ()
     in
+    Option.iter
+      (fun e -> failwith (Flipc_flow.Transport.error_to_string e))
+      p.Stackflow.error;
     let dropped =
       match Machine.fault_stats p.Stackflow.machine with
       | Some f -> f.Faulty.dropped
@@ -1163,13 +1154,15 @@ let fault_sweep () =
 let retrans_modes () =
   let module Faulty = Flipc_net.Faulty in
   let messages =
-    match Sys.getenv_opt "RETRANS_MODES_MESSAGES" with
-    | Some s -> ( try int_of_string s with _ -> 2_000)
-    | None -> 2_000
+    match env_ints "RETRANS_MODES_MESSAGES" ~default:[ 2_000 ] with
+    | [ n ] -> n
+    | _ ->
+        Fmt.epr "bench: RETRANS_MODES_MESSAGES: expected one integer@.";
+        exit 2
   in
-  let run ~kind ?cost ~fault ~rto_ns ~gap_ns ~mode () =
+  let run ~kind ~fault ~rto_ns ~gap_ns ~mode () =
     let p =
-      stamped_pair ?cost ~fault
+      Stackflow.pair ~fault
         ~retrans:
           {
             Retrans_layer.default_config with
@@ -1177,8 +1170,11 @@ let retrans_modes () =
             max_rto_ns = 8 * rto_ns;
             mode;
           }
-        ~pace_ns:gap_ns ~messages kind
+        ~pace_ns:gap_ns ~messages ~kind ()
     in
+    Option.iter
+      (fun e -> failwith (Flipc_flow.Transport.error_to_string e))
+      p.Stackflow.error;
     let reordered =
       match Machine.fault_stats p.Stackflow.machine with
       | Some f -> f.Faulty.reordered
@@ -1196,13 +1192,11 @@ let retrans_modes () =
     [
       ( "mesh",
         Machine.Mesh { cols = 2; rows = 1 },
-        None,
         Faulty.config ~reorder:0.3 ~reorder_hold_ns:100_000 ~seed:17 (),
         200_000,
         25_000 );
       ( "ethernet",
         Machine.Ethernet { nodes = 2 },
-        Some Flipc_memsim.Cost_model.pc_cluster,
         Faulty.config ~reorder:0.3 ~reorder_hold_ns:500_000 ~seed:17 (),
         1_000_000,
         100_000 );
@@ -1221,11 +1215,11 @@ let retrans_modes () =
   in
   let points =
     List.concat_map
-      (fun (fname, kind, cost, fault, rto_ns, gap_ns) ->
+      (fun (fname, kind, fault, rto_ns, gap_ns) ->
         List.map
           (fun (mname, mode) ->
             let s, delivered, retransmits, acks, rto_cur, reordered =
-              run ~kind ?cost ~fault ~rto_ns ~gap_ns ~mode ()
+              run ~kind ~fault ~rto_ns ~gap_ns ~mode ()
             in
             Table.add_row t
               [
@@ -1399,9 +1393,7 @@ let engine_scan () =
      separated); scripts/check.sh uses it to run one small size as a CI
      smoke without paying for the 256-endpoint full-scan ablation. *)
   let sizes =
-    match Sys.getenv_opt "ENGINE_SCAN_SIZES" with
-    | None | Some "" -> [ 8; 64; 256; 4096; 16384 ]
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
+    env_ints "ENGINE_SCAN_SIZES" ~default:[ 8; 64; 256; 4096; 16384 ]
   in
   (* The full-scan ablation's idle iteration walks every configured
      endpoint, so at the large sizes that demonstrate flatness it would

@@ -16,6 +16,10 @@ module Stackflow = Flipc_workload.Stackflow
 module Retrans_layer = Flipc_flow.Retrans_layer
 module RC = Flipc_flow.Retrans_layer.Make (Flipc_flow.Channel_transport)
 
+(* Injected-fault tallies of a run, [null] on a clean fabric. *)
+let faults_json =
+  Option.fold ~none:Flipc_obs.Json.Null ~some:Flipc_net.Faulty.stats_json
+
 
 (* --- shared options --- *)
 
@@ -26,6 +30,45 @@ let payload =
 let exchanges =
   let doc = "Number of measured two-way exchanges." in
   Arg.(value & opt int 300 & info [ "exchanges"; "n" ] ~docv:"N" ~doc)
+
+let messages ~default doc =
+  Arg.(value & opt int default & info [ "messages" ] ~docv:"N" ~doc)
+
+let json_flag =
+  let doc = "Emit machine-readable JSON on stdout instead of text." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let assert_clean doc = Arg.(value & flag & info [ "assert-clean" ] ~doc)
+
+let fault_seed default =
+  let doc = "PRNG seed for fault injection (runs replay bit-identically)." in
+  Arg.(value & opt int default & info [ "fault-seed" ] ~docv:"SEED" ~doc)
+
+(* Fault probabilities: a value outside [0,1] is a command-line error. *)
+let probability name doc ~default =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p <= 1. -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a probability in [0,1]" s))
+  in
+  let prob = Arg.conv (parse, Fmt.float) in
+  Arg.(value & opt prob default & info [ name ] ~docv:"P" ~doc)
+
+let drop = probability "drop" "Packet drop probability (0..1)."
+let dup = probability "dup" "Packet duplication probability (0..1)."
+let reorder = probability "reorder" "Packet reordering probability (0..1)."
+let fabrics = [ ("mesh", `Mesh); ("ethernet", `Ethernet); ("scsi", `Scsi) ]
+
+let fabric =
+  let doc = "Underlying fabric: mesh, ethernet or scsi." in
+  Arg.(value & opt (enum fabrics) `Mesh & info [ "fabric" ] ~docv:"FABRIC" ~doc)
+
+(* A two-node machine on the chosen fabric; the fabric picks the
+   platform, cost model included. *)
+let two_nodes = function
+  | `Mesh -> Machine.Mesh { cols = 2; rows = 1 }
+  | `Ethernet -> Machine.Ethernet { nodes = 2 }
+  | `Scsi -> Machine.Scsi { nodes = 2 }
 
 let cols = Arg.(value & opt int 4 & info [ "cols" ] ~docv:"N" ~doc:"Mesh columns.")
 let rows = Arg.(value & opt int 4 & info [ "rows" ] ~docv:"N" ~doc:"Mesh rows.")
@@ -110,10 +153,7 @@ let with_trace (trace_file, capture_file) f =
              machine plus cross-machine causal flow arrows (Causal). *)
           let json = Flipc_obs.Causal.captured_chrome_json () in
           Flipc_obs.Obs.stop_capture ();
-          let oc = open_out path in
-          Flipc_obs.Json.to_channel oc json;
-          output_char oc '\n';
-          close_out oc;
+          Flipc_obs.Json.to_file path json;
           Fmt.epr "trace written to %s@." path);
       match sink with
       | None -> ()
@@ -290,26 +330,9 @@ let rpc_cmd =
 (* --- kkt --- *)
 
 let kkt_cmd =
-  let fabric =
-    let fabric_conv =
-      Arg.enum [ ("mesh", `Mesh); ("ethernet", `Ethernet); ("scsi", `Scsi) ]
-    in
-    Arg.(
-      value & opt fabric_conv `Mesh
-      & info [ "fabric" ] ~docv:"FABRIC"
-          ~doc:"Underlying fabric: mesh, ethernet or scsi.")
-  in
   let run trace fabric payload exchanges =
     with_trace trace @@ fun () ->
-    let kind, cost =
-      match fabric with
-      | `Mesh ->
-          (Machine.Mesh { cols = 2; rows = 1 }, Flipc_memsim.Cost_model.paragon)
-      | `Ethernet ->
-          (Machine.Ethernet { nodes = 2 }, Flipc_memsim.Cost_model.pc_cluster)
-      | `Scsi -> (Machine.Scsi { nodes = 2 }, Flipc_memsim.Cost_model.pc_cluster)
-    in
-    let machine = Flipc_kkt.Kkt_flipc.machine ~cost kind () in
+    let machine = Flipc_kkt.Kkt_flipc.machine (two_nodes fabric) () in
     let r =
       Pingpong.run ~machine ~node_a:0 ~node_b:1 ~payload_bytes:payload
         ~exchanges ()
@@ -325,10 +348,7 @@ let kkt_cmd =
 (* --- throughput --- *)
 
 let throughput_cmd =
-  let msgs =
-    Arg.(value & opt int 500 & info [ "messages" ] ~docv:"N"
-           ~doc:"Messages to stream.")
-  in
+  let msgs = messages ~default:500 "Messages to stream." in
   let run trace payload msgs =
     with_trace trace @@ fun () ->
     let r =
@@ -378,128 +398,11 @@ let bulk_cmd =
   let doc = "One-sided bulk put/get of a remote-memory region." in
   Cmd.v (Cmd.info "bulk" ~doc) Term.(const run $ obs_out $ bytes)
 
-(* --- faults --- *)
-
-let faults_cmd =
-  let module Faulty = Flipc_net.Faulty in
-  let fabric =
-    let fabric_conv =
-      Arg.enum [ ("mesh", `Mesh); ("ethernet", `Ethernet); ("scsi", `Scsi) ]
-    in
-    Arg.(
-      value & opt fabric_conv `Mesh
-      & info [ "fabric" ] ~docv:"FABRIC"
-          ~doc:"Underlying fabric: mesh, ethernet or scsi.")
-  in
-  let loss =
-    Arg.(
-      value & opt float 0.05
-      & info [ "loss" ] ~docv:"P" ~doc:"Packet drop probability (0..1).")
-  in
-  let dup =
-    Arg.(
-      value & opt float 0.
-      & info [ "dup" ] ~docv:"P" ~doc:"Packet duplication probability (0..1).")
-  in
-  let reorder =
-    Arg.(
-      value & opt float 0.
-      & info [ "reorder" ] ~docv:"P" ~doc:"Packet reordering probability (0..1).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
-  let msgs =
-    Arg.(
-      value & opt int 400
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages to deliver reliably.")
-  in
-  let run trace fabric loss dup reorder seed msgs payload =
-    with_trace trace @@ fun () ->
-    let check_prob name p =
-      if p < 0. || p > 1. then begin
-        Fmt.epr "flipc faults: %s must be in [0,1] (got %g)@." name p;
-        exit 2
-      end
-    in
-    check_prob "--loss" loss;
-    check_prob "--dup" dup;
-    check_prob "--reorder" reorder;
-    let kind, cost, rto_ns =
-      match fabric with
-      | `Mesh ->
-          ( Machine.Mesh { cols = 2; rows = 1 },
-            Flipc_memsim.Cost_model.paragon,
-            200_000 )
-      | `Ethernet ->
-          ( Machine.Ethernet { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000 )
-      | `Scsi ->
-          ( Machine.Scsi { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000 )
-    in
-    let fault =
-      Faulty.config ~drop:loss ~duplicate:dup ~reorder ~seed ()
-    in
-    let retrans =
-      { Retrans_layer.default_config with Retrans_layer.rto_ns; max_rto_ns = 8 * rto_ns }
-    in
-    let p =
-      Stackflow.pair ~cost ~fault ~retrans ~pace_ns:(rto_ns / 8)
-        ~payload_bytes:payload ~kind ~messages:msgs ()
-    in
-    (match p.Stackflow.error with
-    | Some e ->
-        Fmt.epr "flipc faults: %s@." (Flipc_flow.Transport.error_to_string e);
-        exit 1
-    | None -> ());
-    let latencies = Stackflow.latencies_us p in
-    let r = p.Stackflow.receiver and s = p.Stackflow.sender in
-    (match Machine.fault_stats p.Stackflow.machine with
-    | Some f ->
-        Fmt.pr "wire faults: dropped=%d duplicated=%d reordered=%d delayed=%d@."
-          f.Faulty.dropped f.Faulty.duplicated f.Faulty.reordered
-          f.Faulty.delayed
-    | None -> ());
-    Fmt.pr
-      "receiver: delivered=%d dup-discards=%d reordered=%d transport-drops=%d@."
-      (List.length latencies) (RC.duplicates r) (RC.reordered r)
-      p.Stackflow.transport_drops;
-    Fmt.pr "sender: retransmits=%d backpressure=%d@." (RC.retransmits s)
-      (RC.backpressure s);
-    if latencies <> [] then
-      Fmt.pr "delivery latency: %a us@." Summary.pp (Summary.of_samples latencies)
-  in
-  let doc =
-    "Reliable (exactly-once, in-order) delivery over a fault-injected \
-     fabric: drops, duplicates and reordering repaired by the \
-     retransmission library."
-  in
-  Cmd.v
-    (Cmd.info "faults" ~doc)
-    Term.(
-      const run $ obs_out $ fabric $ loss $ dup $ reorder $ seed $ msgs
-      $ payload)
-
 (* --- retrans --- *)
 
 let retrans_cmd =
   let module Faulty = Flipc_net.Faulty in
   let module Json = Flipc_obs.Json in
-  let fabric =
-    let fabric_conv =
-      Arg.enum [ ("mesh", `Mesh); ("ethernet", `Ethernet); ("scsi", `Scsi) ]
-    in
-    Arg.(
-      value & opt fabric_conv `Mesh
-      & info [ "fabric" ] ~docv:"FABRIC"
-          ~doc:"Underlying fabric: mesh, ethernet or scsi.")
-  in
   let mode =
     let mode_conv = Arg.enum [ ("sr", `Sr); ("gbn", `Gbn) ] in
     Arg.(
@@ -508,37 +411,6 @@ let retrans_cmd =
           ~doc:
             "Retransmission mode: sr (selective repeat, default) or gbn \
              (go-back-N ablation).")
-  in
-  let reorder =
-    Arg.(
-      value & opt float 0.3
-      & info [ "reorder" ] ~docv:"P"
-          ~doc:"Packet reordering probability (0..1).")
-  in
-  let drop =
-    Arg.(
-      value & opt float 0.
-      & info [ "drop" ] ~docv:"P" ~doc:"Packet drop probability (0..1).")
-  in
-  let dup =
-    Arg.(
-      value & opt float 0.
-      & info [ "dup" ] ~docv:"P" ~doc:"Packet duplication probability (0..1).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
-  let msgs =
-    Arg.(
-      value & opt int 400
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages to deliver reliably.")
-  in
-  let json_flag =
-    let doc = "Emit one machine-readable JSON object instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let max_ratio =
     let doc =
@@ -554,32 +426,10 @@ let retrans_cmd =
   let run trace fabric mode reorder drop dup seed msgs payload json_out
       max_ratio =
     with_trace trace @@ fun () ->
-    let check_prob name p =
-      if p < 0. || p > 1. then begin
-        Fmt.epr "flipc retrans: %s must be in [0,1] (got %g)@." name p;
-        exit 2
-      end
-    in
-    check_prob "--reorder" reorder;
-    check_prob "--drop" drop;
-    check_prob "--dup" dup;
-    let kind, cost, rto_ns, reorder_hold_ns =
+    let rto_ns, reorder_hold_ns =
       match fabric with
-      | `Mesh ->
-          ( Machine.Mesh { cols = 2; rows = 1 },
-            Flipc_memsim.Cost_model.paragon,
-            200_000,
-            100_000 )
-      | `Ethernet ->
-          ( Machine.Ethernet { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000,
-            500_000 )
-      | `Scsi ->
-          ( Machine.Scsi { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000,
-            500_000 )
+      | `Mesh -> (200_000, 100_000)
+      | `Ethernet | `Scsi -> (1_000_000, 500_000)
     in
     let rmode, mode_name =
       match mode with
@@ -598,14 +448,15 @@ let retrans_cmd =
       }
     in
     let p =
-      Stackflow.pair ~cost ~fault ~retrans ~pace_ns:(rto_ns / 8)
-        ~payload_bytes:payload ~kind ~messages:msgs ()
+      Stackflow.pair ~fault ~retrans ~pace_ns:(rto_ns / 8)
+        ~payload_bytes:payload ~kind:(two_nodes fabric) ~messages:msgs ()
     in
     (match p.Stackflow.error with
     | Some e ->
         Fmt.epr "flipc retrans: %s@." (Flipc_flow.Transport.error_to_string e);
         exit 1
     | None -> ());
+    let transport_drops = p.Stackflow.transport_drops in
     let r = p.Stackflow.receiver and s = p.Stackflow.sender in
     let duplicates = RC.duplicates r and reordered = RC.reordered r in
     let ooo_buffered = RC.ooo_buffered r and acks_sent = RC.acks_sent r in
@@ -635,22 +486,19 @@ let retrans_cmd =
                 ("ooo_buffered", Json.Int ooo_buffered);
                 ("acks_sent", Json.Int acks_sent);
                 ("reacks_suppressed", Json.Int reacks_suppressed);
+                ("transport_drops", Json.Int transport_drops);
                 ("p50_us", Json.Float summary.Summary.p50);
                 ("p99_us", Json.Float summary.Summary.p99);
               ]))
     else begin
-      (match Machine.fault_stats p.Stackflow.machine with
-      | Some f ->
-          Fmt.pr
-            "wire faults: dropped=%d duplicated=%d reordered=%d delayed=%d@."
-            f.Faulty.dropped f.Faulty.duplicated f.Faulty.reordered
-            f.Faulty.delayed
-      | None -> ());
+      Option.iter
+        (Fmt.pr "%a@." Faulty.pp_stats)
+        (Machine.fault_stats p.Stackflow.machine);
       Fmt.pr
         "receiver (%s): delivered=%d dup-discards=%d reordered=%d \
-         ooo-buffered=%d acks=%d reacks-suppressed=%d@."
+         ooo-buffered=%d acks=%d reacks-suppressed=%d transport-drops=%d@."
         mode_name delivered duplicates reordered ooo_buffered acks_sent
-        reacks_suppressed;
+        reacks_suppressed transport_drops;
       Fmt.pr
         "sender: retransmits=%d (ratio %.3f) backpressure=%d rto=%dns@."
         retransmits ratio backpressure rto_cur;
@@ -667,15 +515,19 @@ let retrans_cmd =
     | _ -> ()
   in
   let doc =
-    "Reliable delivery over a reordering/lossy fabric with the selective \
-     repeat vs go-back-N ablation and the protocol counters exposed; \
+    "Reliable (exactly-once, in-order) delivery over a fault-injected \
+     fabric: drops, duplicates and reordering repaired by the \
+     retransmission library, with the selective repeat vs go-back-N \
+     ablation and the protocol counters exposed; \
      $(b,--max-retransmit-ratio) turns it into a CI smoke check."
   in
   Cmd.v
     (Cmd.info "retrans" ~doc)
     Term.(
-      const run $ obs_out $ fabric $ mode $ reorder $ drop $ dup $ seed
-      $ msgs $ payload $ json_flag $ max_ratio)
+      const run $ obs_out $ fabric $ mode $ reorder ~default:0.3
+      $ drop ~default:0. $ dup ~default:0. $ fault_seed 1
+      $ messages ~default:400 "Messages to deliver reliably."
+      $ payload $ json_flag $ max_ratio)
 
 (* --- firehose --- *)
 
@@ -776,24 +628,12 @@ let firehose_cmd =
                 real OCaml domains (0 = deterministic virtual time, the \
                 default).")
   in
-  let assert_clean =
-    Arg.(value & flag
-         & info [ "assert-clean" ]
-             ~doc:
-               "Attach the online invariant monitor and fail (exit 1) on any \
-                violation.")
-  in
   let min_ratio =
     Arg.(value & opt (some float) None
          & info [ "min-delivered-ratio" ] ~docv:"R"
              ~doc:
                "Fail (exit 1) when delivered/offered falls below $(docv) — \
                 turns the command into a CI smoke gate.")
-  in
-  let json_flag =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one machine-readable JSON object instead of text.")
   in
   let run trace senders receivers duration mean_gap arrival jitter
       arrival_burst seed streams payload shards tx_batch queue_capacity
@@ -962,8 +802,11 @@ let firehose_cmd =
       const run $ obs_out $ senders $ receivers $ duration $ mean_gap
       $ arrival $ jitter $ arrival_burst $ seed $ streams $ payload $ shards
       $ tx_batch $ queue_capacity $ total_buffers
-      $ send_burst $ recv_burst $ wallclock $ assert_clean $ min_ratio
-      $ json_flag)
+      $ send_burst $ recv_burst $ wallclock
+      $ assert_clean
+          "Attach the online invariant monitor and fail (exit 1) on any \
+           violation."
+      $ min_ratio $ json_flag)
 
 (* --- doctor --- *)
 
@@ -978,47 +821,6 @@ let doctor_cmd =
       value & opt int 6
       & info [ "flows" ] ~docv:"N"
           ~doc:"Concurrent reliable flows on the 4x4 mesh (1-8).")
-  in
-  let msgs =
-    Arg.(
-      value & opt int 40
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages per flow.")
-  in
-  let drop =
-    Arg.(
-      value & opt float 0.05
-      & info [ "drop" ] ~docv:"P" ~doc:"Packet drop probability (0..1).")
-  in
-  let dup =
-    Arg.(
-      value & opt float 0.02
-      & info [ "dup" ] ~docv:"P" ~doc:"Packet duplication probability (0..1).")
-  in
-  let reorder =
-    Arg.(
-      value & opt float 0.2
-      & info [ "reorder" ] ~docv:"P"
-          ~doc:"Packet reordering probability (0..1).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 7
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
-  let assert_clean =
-    Arg.(
-      value & flag
-      & info [ "assert-clean" ]
-          ~doc:
-            "Exit 1 unless every flow completes, no watchdog fires and every \
-             invariant monitor stays clean — the CI health gate.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one machine-readable JSON object instead of text.")
   in
   let replay_arg =
     Arg.(
@@ -1076,7 +878,7 @@ let doctor_cmd =
                 ("expected", Json.Int expected);
                 ("delivered", Json.Int delivered);
                 ("retransmits", Json.Int retransmits);
-                ("faults", faults);
+                ("faults", faults_json faults);
                 ("spans_traced", Json.Int (List.length spans));
                 ("retransmitted_frames", Json.Int (List.length branches));
                 ( "span_verdicts",
@@ -1096,18 +898,7 @@ let doctor_cmd =
     else begin
       Fmt.pr "flipc doctor: %d reliable flows x %d messages on a lossy 4x4 \
               mesh@." flows msgs;
-      (match faults with
-      | Json.Obj
-          [
-            ("dropped", Json.Int d);
-            ("duplicated", Json.Int du);
-            ("reordered", Json.Int re);
-            ("delayed", Json.Int dl);
-          ] ->
-          Fmt.pr
-            "wire faults: dropped=%d duplicated=%d reordered=%d delayed=%d@."
-            d du re dl
-      | _ -> ());
+      Option.iter (Fmt.pr "%a@." Faulty.pp_stats) faults;
       Fmt.pr "delivered %d/%d messages, %d retransmissions@." delivered
         expected retransmits;
       Fmt.pr "causal tracing: %d message spans reconstructed@."
@@ -1189,8 +980,7 @@ let doctor_cmd =
           ~expected:(want_int "expected")
           ~delivered:(want_int "delivered")
           ~retransmits:(want_int "retransmits")
-          ~faults:
-            (Option.value (Json.member "faults" summary) ~default:Json.Null)
+          ~faults:(Option.bind (Json.member "faults" summary) Faulty.stats_of_json)
           ~stalled:(Json.member "stalled" summary = Some (Json.Bool true))
           ~stall_report:None ~spans ~mon
   in
@@ -1231,15 +1021,6 @@ let doctor_cmd =
       Fmt.epr "flipc doctor: --flows must be in [1,8]@.";
       exit 2
     end;
-    let check_prob name p =
-      if p < 0. || p > 1. then begin
-        Fmt.epr "flipc doctor: %s must be in [0,1] (got %g)@." name p;
-        exit 2
-      end
-    in
-    check_prob "--drop" drop;
-    check_prob "--dup" dup;
-    check_prob "--reorder" reorder;
     let fault =
       Faulty.config ~drop ~duplicate:dup ~reorder ~reorder_hold_ns:100_000
         ~seed ()
@@ -1263,18 +1044,7 @@ let doctor_cmd =
     and retransmits = r.Stackflow.retransmits in
     let spans = Causal.spans [ obs ] in
     let expected = r.Stackflow.expected in
-    let faults_json =
-      match Machine.fault_stats machine with
-      | Some f ->
-          Json.Obj
-            [
-              ("dropped", Json.Int f.Faulty.dropped);
-              ("duplicated", Json.Int f.Faulty.duplicated);
-              ("reordered", Json.Int f.Faulty.reordered);
-              ("delayed", Json.Int f.Faulty.delayed);
-            ]
-      | None -> Json.Null
-    in
+    let faults = Machine.fault_stats machine in
     (* Stamp the run context into the capture trailer, so a replaying
        doctor can echo the fields it cannot recompute from events. *)
     (match !active_sink with
@@ -1287,13 +1057,12 @@ let doctor_cmd =
                ("expected", Json.Int expected);
                ("delivered", Json.Int delivered);
                ("retransmits", Json.Int retransmits);
-               ("faults", faults_json);
+               ("faults", faults_json faults);
                ("stalled", Json.Bool stalled);
              ])
     | None -> ());
-    report ~json_out ~assert_clean ~flows ~msgs ~expected
-      ~delivered ~retransmits ~faults:faults_json
-      ~stalled ~stall_report:r.Stackflow.stall_report ~spans ~mon
+    report ~json_out ~assert_clean ~flows ~msgs ~expected ~delivered
+      ~retransmits ~faults ~stalled ~stall_report:r.Stackflow.stall_report ~spans ~mon
   in
   let doc =
     "Self-diagnosis on a lossy mesh: run reliable flows with causal tracing, \
@@ -1307,223 +1076,162 @@ let doctor_cmd =
   Cmd.v
     (Cmd.info "doctor" ~doc)
     Term.(
-      const run $ obs_out $ replay_arg $ against_arg $ flows_arg $ msgs $ drop
-      $ dup $ reorder $ seed $ assert_clean $ json_flag)
+      const run $ obs_out $ replay_arg $ against_arg $ flows_arg
+      $ messages ~default:40 "Messages per flow."
+      $ drop ~default:0.05 $ dup ~default:0.02 $ reorder ~default:0.2
+      $ fault_seed 7
+      $ assert_clean
+          "Exit 1 unless every flow completes, no watchdog fires and every \
+           invariant monitor stays clean — the CI health gate."
+      $ json_flag)
 
-(* --- soakmatrix --- *)
+(* --- soakmatrix and stack --- *)
 
-(* The standing adversarial gate: all-to-all reliable flows on every
-   fabric, swept across the whole fault matrix (uniform loss, Gilbert–
-   Elliott bursts, payload corruption, a single faulted link, and all of
-   it combined), with the frame checksum on, invariant monitors attached
-   and a progress watchdog per flow. Receivers verify every delivered
-   payload against the pattern the sender wrote, so a corrupt frame that
-   leaks past the checksum into the application is counted — the number
-   that must stay zero. *)
-let soakmatrix_cmd =
-  let module Faulty = Flipc_net.Faulty in
+(* A matrix of {!Stackflow.run} cells: each value on one axis (a fabric
+   or a stack, named on the command line by [--<key>] and in each JSON
+   cell by [key]) crossed with the fault scenarios it runs. Cells run
+   with the frame checksum on, invariant monitors attached and a
+   progress watchdog per flow; receivers verify every delivered payload,
+   so a corrupt frame that leaks past the checksum into the application
+   is counted — the number that must stay zero. The JSON document also
+   lands in the --out file. *)
+let matrix_cmd ~name ~doc ~experiment ~seed ~out ~key ~axis ~scenarios_for
+    ~run_cell =
   let module Json = Flipc_obs.Json in
-  let msgs_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages per flow.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 21
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
-  let fabric_filter =
+  let selector option ~what names =
+    let doc =
+      Printf.sprintf "Run one %s only (%s)." what (String.concat ", " names)
+    in
     Arg.(
       value
-      & opt (enum [ ("all", `All); ("mesh", `Mesh); ("ethernet", `Ethernet);
-                    ("scsi", `Scsi) ]) `All
-      & info [ "fabric" ] ~docv:"FABRIC" ~doc:"Run one fabric only.")
+      & opt (enum (("all", None) :: List.map (fun n -> (n, Some n)) names)) None
+      & info [ option ] ~docv:"NAME" ~doc)
   in
-  let scenario_filter =
-    Arg.(
-      value
-      & opt string "all"
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            "Run one fault scenario only (uniform, burst, corrupt, perlink, \
-             combined).")
+  let scenarios =
+    List.filter
+      (fun s -> List.exists (fun (_, _, v) -> List.mem s (scenarios_for v)) axis)
+      Stackflow.scenarios
   in
+  let axis_arg = selector key ~what:key (List.map (fun (n, _, _) -> n) axis) in
+  let scenario_arg = selector "scenario" ~what:"fault scenario" scenarios in
   let out_arg =
     Arg.(
-      value
-      & opt string "BENCH_soak_matrix.json"
+      value & opt string out
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Where to write the JSON document ('-' = stdout only).")
   in
-  let assert_clean =
-    Arg.(
-      value & flag
-      & info [ "assert-clean" ]
-          ~doc:
-            "Exit 1 unless every cell is clean: all messages delivered, no \
-             invariant violation, no watchdog expiry, zero corrupt frames \
-             reaching the application.")
+  let selected sel x = sel = None || sel = Some x in
+  let cell_json (label, scenario, (r : Stackflow.result)) =
+    Json.Obj
+      [
+        (key, Json.String label);
+        ("scenario", Json.String scenario);
+        ("flows", Json.Int r.flows);
+        ("expected", Json.Int r.expected);
+        ("delivered", Json.Int r.delivered);
+        ("retransmits", Json.Int r.retransmits);
+        ("corrupt_leaks", Json.Int r.corrupt_leaks);
+        ("transport_drops", Json.Int r.transport_drops);
+        ("corrupt_frames_dropped", Json.Int r.corrupt_frames_dropped);
+        ("monitor_violations", Json.Int r.monitor_violations);
+        ("watchdogs_expired", Json.Int r.watchdogs_expired);
+        ("faults", faults_json r.faults);
+        ("clean", Json.Bool r.clean);
+      ]
   in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the JSON document on stdout instead of the text table.")
-  in
-  let scenario_names = List.filter (( <> ) "clean") Stackflow.scenarios in
-  (* One soak cell: [nodes] flows, node i sending to node (i + n/2) mod n,
-     so every node both sends and receives through the faulted fabric. *)
-  let run_cell ~fabric_name ~kind ~cost ~nodes ~rto_ns ~pace_ns ~budget ~hold
-      ~msgs ~seed ~scenario =
-    let fault, fault_links =
-      Stackflow.scenario_fault scenario ~seed ~hold ~half:(nodes / 2)
-    in
-    let r =
-      Stackflow.run ?fault ?fault_links ~cost ~rto_ns ~pace_ns ~budget ~kind
-        ~nodes ~messages:msgs ()
-    in
-    List.iter
-      (fun f -> Fmt.epr "flipc soakmatrix: %s/%s: %s@." fabric_name scenario f)
-      r.Stackflow.failures;
-    let faults_json =
-      match r.Stackflow.faults with
-      | Some f ->
-          Json.Obj
-            [
-              ("dropped", Json.Int f.Faulty.dropped);
-              ("burst_dropped", Json.Int f.Faulty.burst_dropped);
-              ("duplicated", Json.Int f.Faulty.duplicated);
-              ("reordered", Json.Int f.Faulty.reordered);
-              ("delayed", Json.Int f.Faulty.delayed);
-              ("corrupted", Json.Int f.Faulty.corrupted);
-              ("ge_bursts", Json.Int f.Faulty.ge_bursts);
-              ("ge_bad_pkts", Json.Int f.Faulty.ge_bad_pkts);
-              ("ge_good_pkts", Json.Int f.Faulty.ge_good_pkts);
-            ]
-      | None -> Json.Null
-    in
-    ( r.Stackflow.clean,
-      Json.Obj
-        [
-          ("fabric", Json.String fabric_name);
-          ("scenario", Json.String scenario);
-          ("flows", Json.Int nodes);
-          ("expected", Json.Int r.Stackflow.expected);
-          ("delivered", Json.Int r.Stackflow.delivered);
-          ("retransmits", Json.Int r.Stackflow.retransmits);
-          ("corrupt_leaks", Json.Int r.Stackflow.corrupt_leaks);
-          ("corrupt_frames_dropped", Json.Int r.Stackflow.corrupt_frames_dropped);
-          ("monitor_violations", Json.Int r.Stackflow.monitor_violations);
-          ("watchdogs_expired", Json.Int r.Stackflow.watchdogs_expired);
-          ("faults", faults_json);
-          ("clean", Json.Bool r.Stackflow.clean);
-        ] )
-  in
-  let run trace msgs seed fabric_sel scenario_sel out assert_flag json_out =
+  let run trace msgs seed axis_sel scenario_sel out assert_flag json_out =
     with_trace trace @@ fun () ->
     if msgs < 1 then begin
-      Fmt.epr "flipc soakmatrix: --messages must be >= 1@.";
+      Fmt.epr "flipc %s: --messages must be >= 1@." name;
       exit 2
     end;
-    (if scenario_sel <> "all" && not (List.mem scenario_sel scenario_names)
-     then begin
-       Fmt.epr "flipc soakmatrix: unknown scenario %s@." scenario_sel;
-       exit 2
-     end);
-    (* Per-fabric tuning: (tag, name, kind, cost model, nodes, rto_ns,
-       pace_ns, watchdog budget, reorder_hold_ns). The 10 Mb/s shared
-       Ethernet serializes every frame (~120 us each), so 8 all-to-all
-       flows must pace well below medium capacity and start from an RTO
-       above the contended round trip, or the cell measures a congestion
-       collapse instead of fault recovery. *)
-    let fabrics =
-      [
-        ( `Mesh,
-          "mesh",
-          Machine.Mesh { cols = 4; rows = 4 },
-          Flipc_memsim.Cost_model.paragon,
-          16, 200_000, 25_000, Flipc_sim.Vtime.ms 50, 100_000 );
-        ( `Ethernet,
-          "ethernet",
-          Machine.Ethernet { nodes = 8 },
-          Flipc_memsim.Cost_model.pc_cluster,
-          8, 8_000_000, 2_000_000, Flipc_sim.Vtime.ms 500, 500_000 );
-        ( `Scsi,
-          "scsi",
-          Machine.Scsi { nodes = 4 },
-          Flipc_memsim.Cost_model.pc_cluster,
-          4, 1_000_000, 125_000, Flipc_sim.Vtime.ms 50, 500_000 );
-      ]
-      |> List.filter (fun (tag, _, _, _, _, _, _, _, _) ->
-             fabric_sel = `All || fabric_sel = tag)
-    in
-    let scenarios =
-      List.filter
-        (fun s -> scenario_sel = "all" || scenario_sel = s)
-        scenario_names
-    in
     let cells =
       List.concat_map
-        (fun (_, fabric_name, kind, cost, nodes, rto_ns, pace_ns, budget, hold)
-           ->
-          List.map
-            (fun scenario ->
-              run_cell ~fabric_name ~kind ~cost ~nodes ~rto_ns ~pace_ns ~budget
-                ~hold ~msgs ~seed ~scenario)
-            scenarios)
-        fabrics
+        (fun (sel_name, label, v) ->
+          if not (selected axis_sel sel_name) then []
+          else
+            List.filter (selected scenario_sel) (scenarios_for v)
+            |> List.map (fun scenario ->
+                   let r = run_cell v ~scenario ~seed ~messages:msgs in
+                   List.iter
+                     (Fmt.epr "flipc %s: %s/%s: %s@." name label scenario)
+                     r.Stackflow.failures;
+                   (label, scenario, r)))
+        axis
     in
-    let clean = List.for_all fst cells in
+    if cells = [] then begin
+      Fmt.epr "flipc %s: no cells selected (each %s runs only its scenarios)@."
+        name key;
+      exit 2
+    end;
+    let clean = List.for_all (fun (_, _, r) -> r.Stackflow.clean) cells in
     let doc =
       Json.Obj
         [
-          ("experiment", Json.String "soak_matrix");
+          ("experiment", Json.String experiment);
           ("messages_per_flow", Json.Int msgs);
           ("seed", Json.Int seed);
-          ("cells", Json.List (List.map snd cells));
+          ("cells", Json.List (List.map cell_json cells));
           ("clean", Json.Bool clean);
         ]
     in
-    (if out <> "-" then begin
-       let oc = open_out out in
-       output_string oc (Json.to_string doc);
-       output_char oc '\n';
-       close_out oc
-     end);
+    if out <> "-" then Json.to_file out doc;
     if json_out then print_endline (Json.to_string doc)
     else begin
-      Fmt.pr "flipc soakmatrix: %d cells x %d messages/flow (seed %d)@."
+      Fmt.pr "flipc %s: %d cells x %d messages/flow (seed %d)@." name
         (List.length cells) msgs seed;
+      let width =
+        List.fold_left (fun w (l, _, _) -> max w (String.length l)) 0 cells
+      in
       List.iter
-        (fun (cell_clean, j) ->
-          match j with
-          | Json.Obj fields ->
-              let str k =
-                match List.assoc k fields with
-                | Json.String s -> s
-                | _ -> "?"
-              in
-              let int k =
-                match List.assoc k fields with Json.Int i -> i | _ -> -1
-              in
-              Fmt.pr
-                "  %-8s %-8s delivered %d/%d retrans=%d corrupt-dropped=%d \
-                 leaks=%d violations=%d stalls=%d %s@."
-                (str "fabric") (str "scenario") (int "delivered")
-                (int "expected") (int "retransmits")
-                (int "corrupt_frames_dropped") (int "corrupt_leaks")
-                (int "monitor_violations") (int "watchdogs_expired")
-                (if cell_clean then "ok" else "NOT CLEAN")
-          | _ -> ())
+        (fun (label, scenario, (r : Stackflow.result)) ->
+          Fmt.pr
+            "  %-*s %-8s delivered %d/%d retrans=%d drops=%d \
+             corrupt-dropped=%d leaks=%d violations=%d stalls=%d %s@."
+            width label scenario r.delivered r.expected r.retransmits
+            r.transport_drops r.corrupt_frames_dropped r.corrupt_leaks
+            r.monitor_violations r.watchdogs_expired
+            (if r.clean then "ok" else "NOT CLEAN"))
         cells;
       if out <> "-" then Fmt.pr "wrote %s@." out
     end;
     if assert_flag && not clean then begin
-      if not json_out then Fmt.epr "flipc soakmatrix: NOT clean@.";
+      if not json_out then Fmt.epr "flipc %s: NOT clean@." name;
       exit 1
     end
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ obs_out
+      $ messages ~default:25 "Messages per flow."
+      $ fault_seed seed $ axis_arg $ scenario_arg $ out_arg
+      $ assert_clean
+          "Exit 1 unless every cell is clean: all messages delivered \
+           exactly once, no invariant violation, no watchdog expiry, zero \
+           corrupt payloads reaching the application."
+      $ json_flag)
+
+(* The standing adversarial gate: all-to-all reliable flows on every
+   fabric, swept across the whole fault matrix (uniform loss, Gilbert–
+   Elliott bursts, payload corruption, a single faulted link, and all of
+   it combined). *)
+let soakmatrix_cmd =
+  (* Per-fabric tuning: (kind, nodes, rto_ns, pace_ns, watchdog budget,
+     reorder_hold_ns). The 10 Mb/s shared Ethernet serializes every
+     frame (~120 us each), so 8 all-to-all flows must pace well below
+     medium capacity and start from an RTO above the contended round
+     trip, or the cell measures a congestion collapse instead of fault
+     recovery. *)
+  let tuning = function
+    | `Mesh ->
+        ( Machine.Mesh { cols = 4; rows = 4 },
+          16, 200_000, 25_000, Flipc_sim.Vtime.ms 50, 100_000 )
+    | `Ethernet ->
+        ( Machine.Ethernet { nodes = 8 },
+          8, 8_000_000, 2_000_000, Flipc_sim.Vtime.ms 500, 500_000 )
+    | `Scsi ->
+        ( Machine.Scsi { nodes = 4 },
+          4, 1_000_000, 125_000, Flipc_sim.Vtime.ms 50, 500_000 )
   in
   let doc =
     "Adversarial soak matrix: all-to-all reliable flows on \
@@ -1533,13 +1241,17 @@ let soakmatrix_cmd =
      CI gate; the JSON lands in $(b,BENCH_soak_matrix.json) for \
      $(b,bench_diff.sh)."
   in
-  Cmd.v
-    (Cmd.info "soakmatrix" ~doc)
-    Term.(
-      const run $ obs_out $ msgs_arg $ seed_arg $ fabric_filter
-      $ scenario_filter $ out_arg $ assert_clean $ json_flag)
-
-(* --- stack --- *)
+  matrix_cmd ~name:"soakmatrix" ~doc ~experiment:"soak_matrix" ~seed:21
+    ~out:"BENCH_soak_matrix.json" ~key:"fabric"
+    ~axis:(List.map (fun (n, f) -> (n, n, f)) fabrics)
+    ~scenarios_for:(fun _ -> List.filter (( <> ) "clean") Stackflow.scenarios)
+    ~run_cell:(fun fabric ~scenario ~seed ~messages ->
+      let kind, nodes, rto_ns, pace_ns, budget, hold = tuning fabric in
+      let fault, fault_links =
+        Stackflow.scenario_fault scenario ~seed ~hold ~half:(nodes / 2)
+      in
+      Stackflow.run ?fault ?fault_links ~rto_ns ~pace_ns ~budget ~kind ~nodes
+        ~messages ())
 
 (* The layered-transport gate: every {!Flipc_flow.Transport} composition
    Stackflow can build, swept across fault scenarios — but only where
@@ -1552,181 +1264,7 @@ let soakmatrix_cmd =
    reliable composition and must deliver exactly-once through the whole
    fault sweep. *)
 let stack_cmd =
-  let module Json = Flipc_obs.Json in
-  let msgs_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages per flow.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 31
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
-  let stack_names =
-    [
-      ("channel", Stackflow.Bare_channel);
-      ("window", Stackflow.Window_over_channel);
-      ("retrans", Stackflow.Retrans_over_channel);
-      ("tower", Stackflow.Retrans_over_window);
-    ]
-  in
-  let stack_filter =
-    Arg.(
-      value & opt string "all"
-      & info [ "stack" ] ~docv:"NAME"
-          ~doc:
-            "Run one composition only (channel, window, retrans, tower).")
-  in
-  let scenario_names = Stackflow.scenarios in
-  let scenario_filter =
-    Arg.(
-      value & opt string "all"
-      & info [ "scenario" ] ~docv:"NAME"
-          ~doc:
-            "Run one fault scenario only (clean, uniform, burst, corrupt, \
-             perlink, combined).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_stack.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Where to write the JSON document ('-' = stdout only).")
-  in
-  let assert_clean =
-    Arg.(
-      value & flag
-      & info [ "assert-clean" ]
-          ~doc:
-            "Exit 1 unless every cell is clean: all messages delivered \
-             exactly once, no invariant violation, no watchdog expiry, zero \
-             corrupt payloads reaching the application.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the JSON document on stdout instead of the text table.")
-  in
   let nodes = 4 in
-  (* Which scenarios a composition promises to survive. *)
-  let scenarios_for stack =
-    match stack with
-    | Stackflow.Retrans_over_channel -> scenario_names
-    | Stackflow.Bare_channel | Stackflow.Window_over_channel
-    | Stackflow.Retrans_over_window ->
-        [ "clean" ]
-  in
-  let run_cell ~stack ~scenario ~msgs ~seed =
-    let fault, fault_links =
-      Stackflow.scenario_fault scenario ~seed ~hold:100_000 ~half:(nodes / 2)
-    in
-    let r =
-      Stackflow.run ~stack ?fault ?fault_links
-        ~kind:(Machine.Mesh { cols = 2; rows = 2 })
-        ~nodes ~messages:msgs ()
-    in
-    ( r.Stackflow.clean,
-      Json.Obj
-        [
-          ("stack", Json.String (Stackflow.stack_name stack));
-          ("scenario", Json.String scenario);
-          ("flows", Json.Int nodes);
-          ("expected", Json.Int r.Stackflow.expected);
-          ("delivered", Json.Int r.Stackflow.delivered);
-          ("retransmits", Json.Int r.Stackflow.retransmits);
-          ("corrupt_leaks", Json.Int r.Stackflow.corrupt_leaks);
-          ("transport_drops", Json.Int r.Stackflow.transport_drops);
-          ("monitor_violations", Json.Int r.Stackflow.monitor_violations);
-          ("watchdogs_expired", Json.Int r.Stackflow.watchdogs_expired);
-          ("clean", Json.Bool r.Stackflow.clean);
-        ] )
-  in
-  let run trace msgs seed stack_sel scenario_sel out assert_flag json_out =
-    with_trace trace @@ fun () ->
-    if msgs < 1 then begin
-      Fmt.epr "flipc stack: --messages must be >= 1@.";
-      exit 2
-    end;
-    (if stack_sel <> "all" && not (List.mem_assoc stack_sel stack_names) then begin
-       Fmt.epr "flipc stack: unknown stack %s@." stack_sel;
-       exit 2
-     end);
-    (if scenario_sel <> "all" && not (List.mem scenario_sel scenario_names)
-     then begin
-       Fmt.epr "flipc stack: unknown scenario %s@." scenario_sel;
-       exit 2
-     end);
-    let cells =
-      List.concat_map
-        (fun (sname, stack) ->
-          if stack_sel <> "all" && stack_sel <> sname then []
-          else
-            scenarios_for stack
-            |> List.filter (fun s ->
-                   scenario_sel = "all" || scenario_sel = s)
-            |> List.map (fun scenario -> run_cell ~stack ~scenario ~msgs ~seed))
-        stack_names
-    in
-    if cells = [] then begin
-      Fmt.epr
-        "flipc stack: no cells selected (the %s stack only runs the clean \
-         scenario)@."
-        stack_sel;
-      exit 2
-    end;
-    let clean = List.for_all fst cells in
-    let doc =
-      Json.Obj
-        [
-          ("experiment", Json.String "stack_matrix");
-          ("messages_per_flow", Json.Int msgs);
-          ("seed", Json.Int seed);
-          ("cells", Json.List (List.map snd cells));
-          ("clean", Json.Bool clean);
-        ]
-    in
-    (if out <> "-" then begin
-       let oc = open_out out in
-       output_string oc (Json.to_string doc);
-       output_char oc '\n';
-       close_out oc
-     end);
-    if json_out then print_endline (Json.to_string doc)
-    else begin
-      Fmt.pr "flipc stack: %d cells x %d messages/flow (seed %d)@."
-        (List.length cells) msgs seed;
-      List.iter
-        (fun (cell_clean, j) ->
-          match j with
-          | Json.Obj fields ->
-              let str k =
-                match List.assoc k fields with
-                | Json.String s -> s
-                | _ -> "?"
-              in
-              let int k =
-                match List.assoc k fields with Json.Int i -> i | _ -> -1
-              in
-              Fmt.pr
-                "  %-22s %-8s delivered %d/%d retrans=%d drops=%d leaks=%d \
-                 violations=%d stalls=%d %s@."
-                (str "stack") (str "scenario") (int "delivered")
-                (int "expected") (int "retransmits") (int "transport_drops")
-                (int "corrupt_leaks") (int "monitor_violations")
-                (int "watchdogs_expired")
-                (if cell_clean then "ok" else "NOT CLEAN")
-          | _ -> ())
-        cells;
-      if out <> "-" then Fmt.pr "wrote %s@." out
-    end;
-    if assert_flag && not clean then begin
-      if not json_out then Fmt.epr "flipc stack: NOT clean@.";
-      exit 1
-    end
-  in
   let doc =
     "Layered-transport matrix: every Stackflow composition (bare channel, \
      window flow control, retransmission, the full tower) on a mesh, each \
@@ -1734,18 +1272,34 @@ let stack_cmd =
      $(b,--assert-clean) turns it into a CI gate; the JSON lands in \
      $(b,BENCH_stack.json)."
   in
-  Cmd.v (Cmd.info "stack" ~doc)
-    Term.(
-      const run $ obs_out $ msgs_arg $ seed_arg $ stack_filter
-      $ scenario_filter $ out_arg $ assert_clean $ json_flag)
+  matrix_cmd ~name:"stack" ~doc ~experiment:"stack_matrix" ~seed:31
+    ~out:"BENCH_stack.json" ~key:"stack"
+    ~axis:
+      (List.map
+         (fun (n, stack) -> (n, Stackflow.stack_name stack, stack))
+         [
+           ("channel", Stackflow.Bare_channel);
+           ("window", Stackflow.Window_over_channel);
+           ("retrans", Stackflow.Retrans_over_channel);
+           ("tower", Stackflow.Retrans_over_window);
+         ])
+    ~scenarios_for:(function
+      | Stackflow.Retrans_over_channel -> Stackflow.scenarios
+      | Stackflow.Bare_channel | Stackflow.Window_over_channel
+      | Stackflow.Retrans_over_window ->
+          [ "clean" ])
+    ~run_cell:(fun stack ~scenario ~seed ~messages ->
+      let fault, fault_links =
+        Stackflow.scenario_fault scenario ~seed ~hold:100_000 ~half:(nodes / 2)
+      in
+      Stackflow.run ~stack ?fault ?fault_links
+        ~kind:(Machine.Mesh { cols = 2; rows = 2 })
+        ~nodes ~messages ())
 
 (* --- trace --- *)
 
 let trace_cmd =
-  let msgs =
-    Arg.(value & opt int 3 & info [ "messages" ] ~docv:"N"
-           ~doc:"Messages to trace.")
-  in
+  let msgs = messages ~default:3 "Messages to trace." in
   let run trace msgs =
     with_trace trace @@ fun () ->
     let machine = Machine.create (Machine.Mesh { cols = 2; rows = 1 }) () in
@@ -1803,10 +1357,6 @@ let metrics_cmd =
   let module Series = Flipc_obs.Series in
   let module Json = Flipc_obs.Json in
   let module Vtime = Flipc_sim.Vtime in
-  let json_flag =
-    let doc = "Emit one machine-readable JSON object instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let prom_flag =
     let doc =
       "Emit the metrics snapshot as a Prometheus-style text exposition \
@@ -1937,10 +1487,6 @@ let alert_cmd =
       & info [ "interval" ] ~docv:"US"
           ~doc:"Series window size in virtual microseconds.")
   in
-  let json_flag =
-    let doc = "Emit one machine-readable JSON object instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let expect_fire =
     Arg.(
       value
@@ -2023,10 +1569,6 @@ let engine_cmd =
   let full_scan =
     let doc = "Use the pre-doorbell full-scan scheduler (ablation)." in
     Arg.(value & flag & info [ "full-scan" ] ~doc)
-  in
-  let json_flag =
-    let doc = "Emit one machine-readable JSON object instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let max_rebuilds =
     let doc =
@@ -2181,7 +1723,7 @@ let () =
        (Cmd.group info
           [
             latency_cmd; sweep_cmd; compare_cmd; streams_cmd; rpc_cmd; kkt_cmd;
-            throughput_cmd; firehose_cmd; bulk_cmd; faults_cmd; retrans_cmd;
+            throughput_cmd; firehose_cmd; bulk_cmd; retrans_cmd;
             doctor_cmd; soakmatrix_cmd; stack_cmd;
             trace_cmd; metrics_cmd; alert_cmd;
             engine_cmd; info_cmd;

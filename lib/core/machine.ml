@@ -76,8 +76,11 @@ type t = {
 
 let round_up n m = (n + m - 1) / m * m
 
-let make_node ~sim ~fabric ~config ~cost ~app_cpus ~transport_maker
-    ~heap_bytes ~comm_buffers id =
+(* Application CPUs per node, as on the Paragon's MP3 nodes. *)
+let cpus_per_node = 2
+let heap_bytes = 256 * 1024
+
+let make_node ~sim ~fabric ~config ~cost ~transport_maker ~comm_buffers id =
   let layout = Layout.compute config in
   let region_stride = round_up (Layout.total_bytes layout) 4096 in
   let mem_bytes = max 4096 (comm_buffers * region_stride) + heap_bytes in
@@ -88,7 +91,8 @@ let make_node ~sim ~fabric ~config ~cost ~app_cpus ~transport_maker
     Mem_port.create ~engine:sim ~mem ~bus ~cache ~name
   in
   let cpu_ports =
-    Array.init app_cpus (fun cpu -> make_port (Printf.sprintf "n%d-cpu%d" id cpu))
+    Array.init cpus_per_node (fun cpu ->
+        make_port (Printf.sprintf "n%d-cpu%d" id cpu))
   in
   let coproc_port = make_port (Printf.sprintf "n%d-coproc" id) in
   let comms =
@@ -140,7 +144,7 @@ let make_node ~sim ~fabric ~config ~cost ~app_cpus ~transport_maker
           | Some sem -> Rt_semaphore.post sem
           | None -> ()))
     engines;
-  let sched = Sched.create ~engine:sim ~cpus:app_cpus in
+  let sched = Sched.create ~engine:sim ~cpus:cpus_per_node in
   {
     id;
     mem;
@@ -152,7 +156,7 @@ let make_node ~sim ~fabric ~config ~cost ~app_cpus ~transport_maker
     nic;
     dma;
     sched;
-    apis = Array.init comm_buffers (fun _ -> Array.make app_cpus None);
+    apis = Array.init comm_buffers (fun _ -> Array.make cpus_per_node None);
     heap_base = mem_bytes - heap_bytes;
     heap_next = mem_bytes - heap_bytes;
     heap_end = mem_bytes;
@@ -208,25 +212,29 @@ let flight_report t fmt =
         (allocated_endpoints n))
     t.nodes
 
-let create ?(config = Config.default) ?(cost = Cost_model.paragon)
-    ?(mesh_config = Mesh.paragon_config) ?(app_cpus = 2)
-    ?(transport = native_transport) ?(heap_bytes = 256 * 1024)
+let create ?(config = Config.default) ?(transport = native_transport)
     ?(comm_buffers = 1) ?fault ?fault_links kind () =
   if comm_buffers < 1 then invalid_arg "Machine.create: comm_buffers < 1";
   let config = Config.validate_exn config in
   let sim = Sim.create () in
   let obs = Flipc_obs.Obs.create ~sim () in
-  let fabric =
+  (* The fabric names the platform, and the platform fixes the memory
+     system: the Paragon's MP3 nodes on the mesh, PCs on the Ethernet
+     and SCSI development clusters. *)
+  let fabric, cost =
     match kind with
     | Mesh { cols; rows } ->
-        Mesh.create ~engine:sim ~topology:(Topology.create ~cols ~rows)
-          ~config:mesh_config
+        ( Mesh.create ~engine:sim ~topology:(Topology.create ~cols ~rows)
+            ~config:Mesh.paragon_config,
+          Cost_model.paragon )
     | Ethernet { nodes } ->
-        Ethernet.create ~engine:sim ~node_count:nodes
-          ~config:Ethernet.default_config
+        ( Ethernet.create ~engine:sim ~node_count:nodes
+            ~config:Ethernet.default_config,
+          Cost_model.pc_cluster )
     | Scsi { nodes } ->
-        Scsi_bus.create ~engine:sim ~node_count:nodes
-          ~config:Scsi_bus.default_config
+        ( Scsi_bus.create ~engine:sim ~node_count:nodes
+            ~config:Scsi_bus.default_config,
+          Cost_model.pc_cluster )
   in
   let fabric =
     match (fault, fault_links) with
@@ -239,8 +247,8 @@ let create ?(config = Config.default) ?(cost = Cost_model.paragon)
   in
   let nodes =
     Array.init fabric.Fabric.node_count
-      (make_node ~sim ~fabric ~config ~cost ~app_cpus
-         ~transport_maker:transport ~heap_bytes ~comm_buffers)
+      (make_node ~sim ~fabric ~config ~cost ~transport_maker:transport
+         ~comm_buffers)
   in
   Array.iter
     (fun n ->

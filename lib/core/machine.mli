@@ -2,11 +2,12 @@
     coprocessor, NIC, DMA), an interconnect fabric, one messaging engine
     per node, and per-node real-time schedulers.
 
-    Modelled after a Paragon of MP3 nodes: each node has [app_cpus]
-    application processors plus a dedicated message coprocessor, all in
-    one cache-coherence domain. The Ethernet and SCSI variants rebuild the
-    same structure over the development-cluster fabrics, which is how the
-    paper validated FLIPC's portability. *)
+    Modelled after a Paragon of MP3 nodes: each node has two application
+    processors plus a dedicated message coprocessor, all in one
+    cache-coherence domain, and a 256 KiB application heap. The Ethernet
+    and SCSI variants rebuild the same structure over the
+    development-cluster fabrics, which is how the paper validated FLIPC's
+    portability. *)
 
 type fabric_kind =
   | Mesh of { cols : int; rows : int }
@@ -37,11 +38,12 @@ val native_transport : transport_maker
     communication buffers initialized, NIC callbacks wired, messaging
     engines started, wakeup hooks installed.
 
+    The fabric kind picks the platform: a [Mesh] machine has Paragon
+    mesh timing and the {!Flipc_memsim.Cost_model.paragon} memory
+    system; [Ethernet] and [Scsi] machines are PC clusters
+    ({!Flipc_memsim.Cost_model.pc_cluster}).
+
     @param config FLIPC configuration (default {!Config.default})
-    @param cost memory-system cost model (default
-      {!Flipc_memsim.Cost_model.paragon})
-    @param mesh_config mesh timing (default {!Flipc_net.Mesh.paragon_config})
-    @param app_cpus application CPUs per node (default 2, as on MP3 nodes)
     @param transport engine transport wiring (default {!native_transport})
     @param fault wrap the fabric in {!Flipc_net.Faulty} fault injection
       (drop / burst loss / duplicate / reorder / jitter / corrupt);
@@ -52,11 +54,7 @@ val native_transport : transport_maker
       fault *)
 val create :
   ?config:Config.t ->
-  ?cost:Flipc_memsim.Cost_model.t ->
-  ?mesh_config:Flipc_net.Mesh.config ->
-  ?app_cpus:int ->
   ?transport:transport_maker ->
-  ?heap_bytes:int ->
   ?comm_buffers:int ->
   ?fault:Flipc_net.Faulty.config ->
   ?fault_links:Flipc_net.Faulty.links ->

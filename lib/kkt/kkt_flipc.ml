@@ -25,7 +25,7 @@ let transport kkt ~node ~nic ~node_count ~deliver =
           end);
   }
 
-let machine ?config ?cost ?kkt_config ?app_cpus kind () =
+let machine ?config kind () =
   (* The KKT domain needs the simulation engine, which Machine.create
      builds; create our own and rely on the maker being called during
      boot. We therefore construct the domain lazily at first maker call. *)
@@ -39,8 +39,7 @@ let machine ?config ?cost ?kkt_config ?app_cpus kind () =
             (* RPC payloads are flipc wire images, so the stamped
                message id is recoverable and KKT lifecycle events join
                the message's causal span. *)
-            Kkt.create ?config:kkt_config
-              ~mid_of:Flipc.Msg_buffer.msg_id_of_image
+            Kkt.create ~mid_of:Flipc.Msg_buffer.msg_id_of_image
               ~sim:(Nic.engine nic) ()
           in
           domain := Some kkt;
@@ -48,6 +47,6 @@ let machine ?config ?cost ?kkt_config ?app_cpus kind () =
     in
     transport kkt ~node ~nic ~node_count ~deliver
   in
-  let m = Machine.create ?config ?cost ?app_cpus ~transport:maker kind () in
+  let m = Machine.create ?config ~transport:maker kind () in
   (match !domain with Some kkt -> Kkt.set_obs kkt (Machine.obs m) | None -> ());
   m

@@ -13,13 +13,10 @@
     engine, and transmits via blocking [Kkt.call]. *)
 val transport : Kkt.t -> Flipc.Machine.transport_maker
 
-(** [machine ?config ?cost ?kkt_config kind ()] builds a machine whose
-    engines use KKT, like {!Flipc.Machine.create}. *)
+(** [machine ?config kind ()] builds a machine whose engines use KKT
+    with its default configuration, like {!Flipc.Machine.create}. *)
 val machine :
   ?config:Flipc.Config.t ->
-  ?cost:Flipc_memsim.Cost_model.t ->
-  ?kkt_config:Kkt.config ->
-  ?app_cpus:int ->
   Flipc.Machine.fabric_kind ->
   unit ->
   Flipc.Machine.t

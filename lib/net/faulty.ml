@@ -54,6 +54,46 @@ type stats = {
   mutable ge_bursts : int;
 }
 
+module Json = Flipc_obs.Json
+
+let stats_json s =
+  Json.Obj
+    [
+      ("dropped", Json.Int s.dropped);
+      ("burst_dropped", Json.Int s.burst_dropped);
+      ("duplicated", Json.Int s.duplicated);
+      ("reordered", Json.Int s.reordered);
+      ("delayed", Json.Int s.delayed);
+      ("corrupted", Json.Int s.corrupted);
+      ("ge_bursts", Json.Int s.ge_bursts);
+      ("ge_bad_pkts", Json.Int s.ge_bad_pkts);
+      ("ge_good_pkts", Json.Int s.ge_good_pkts);
+    ]
+
+let stats_of_json j =
+  match j with
+  | Json.Obj _ ->
+      let n key =
+        Option.value ~default:0 (Option.bind (Json.member key j) Json.to_int)
+      in
+      Some
+        {
+          dropped = n "dropped";
+          burst_dropped = n "burst_dropped";
+          duplicated = n "duplicated";
+          reordered = n "reordered";
+          delayed = n "delayed";
+          corrupted = n "corrupted";
+          ge_bursts = n "ge_bursts";
+          ge_bad_pkts = n "ge_bad_pkts";
+          ge_good_pkts = n "ge_good_pkts";
+        }
+  | _ -> None
+
+let pp_stats ppf s =
+  Fmt.pf ppf "wire faults: dropped=%d duplicated=%d reordered=%d delayed=%d"
+    s.dropped s.duplicated s.reordered s.delayed
+
 (* Keyed on the shared Fabric.stats record by physical identity, like
    Mesh.contention_stall_ns: the record is mutable so it cannot be a hash
    key. The key is held weakly so a dead machine's fabric does not pin

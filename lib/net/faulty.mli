@@ -107,6 +107,17 @@ type stats = {
   mutable ge_bursts : int;  (** good→bad transitions (burst count) *)
 }
 
+(** The tally as a JSON object with one integer member per field. *)
+val stats_json : stats -> Flipc_obs.Json.t
+
+(** The inverse of {!stats_json}: [None] unless given an object; a
+    missing member reads as 0. *)
+val stats_of_json : Flipc_obs.Json.t -> stats option
+
+(** One line: ["wire faults: dropped=.. duplicated=.. reordered=..
+    delayed=.."]. *)
+val pp_stats : stats Fmt.t
+
 (** [wrap ~engine ~config fabric] is a fabric with [fabric]'s name,
     node count and handler table, whose [send] injects faults. With
     [?links], per-(src,dst) override configs; with [?obs], the tally is

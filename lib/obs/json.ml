@@ -68,6 +68,10 @@ let to_channel oc t =
   output_string oc (to_string t);
   output_char oc '\n'
 
+let to_file path t =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel oc t)
+
 (* Recursive-descent parser, the inverse of [emit]. Numbers without a
    '.', 'e' or 'E' parse as [Int]; everything else as [Float]. *)
 

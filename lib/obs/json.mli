@@ -22,6 +22,10 @@ val to_string : t -> string
 (** [to_channel oc t] writes the compact rendering plus a newline. *)
 val to_channel : out_channel -> t -> unit
 
+(** [to_file path t] writes [t] to a new file at [path], as
+    {!to_channel} does. *)
+val to_file : string -> t -> unit
+
 (** [of_string s] parses one JSON document. Numeric literals without a
     fraction or exponent become [Int]; the rest become [Float]. *)
 val of_string : string -> (t, string) result

@@ -133,10 +133,10 @@ let run ?(touch_payload = false) ?(warmup = 2) ?(recv_depth = 4)
     drops = !drops;
   }
 
-let measure ?(config = Config.default) ?cost ?(cols = 4) ?(rows = 4)
+let measure ?(config = Config.default) ?(cols = 4) ?(rows = 4)
     ?(node_a = 0) ?(node_b = 1) ?touch_payload ?warmup ~payload_bytes
     ~exchanges () =
   let config = Config.for_payload config payload_bytes in
-  let machine = Machine.create ~config ?cost (Machine.Mesh { cols; rows }) () in
+  let machine = Machine.create ~config (Machine.Mesh { cols; rows }) () in
   run ?touch_payload ?warmup ~machine ~node_a ~node_b ~payload_bytes ~exchanges
     ()

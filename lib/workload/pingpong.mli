@@ -43,7 +43,6 @@ val run :
     pair (0,1)), and returns the result. Convenience for benches. *)
 val measure :
   ?config:Flipc.Config.t ->
-  ?cost:Flipc_memsim.Cost_model.t ->
   ?cols:int ->
   ?rows:int ->
   ?node_a:int ->

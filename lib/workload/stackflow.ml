@@ -25,6 +25,7 @@ let stack_name = function
   | Retrans_over_window -> "retrans/window/channel"
 
 type result = {
+  flows : int;
   expected : int;
   delivered : int;
   retransmits : int;
@@ -204,8 +205,7 @@ let retrans_config rto_ns =
   }
 
 let run ?(stack = Retrans_over_channel) ?(config = soak_config) ?fault
-    ?fault_links ?(cost = Flipc_memsim.Cost_model.paragon) ?(rto_ns = 200_000)
-    ?(pace_ns = 25_000) ?(budget = Vtime.ms 50) ?(window = 6)
+    ?fault_links ?(rto_ns = 200_000) ?(pace_ns = 25_000) ?(budget = Vtime.ms 50) ?(window = 6)
     ?(payload_bytes = 32) ?flows ?(spawn = ignore) ~kind ~nodes ~messages () =
   let flows =
     match flows with
@@ -215,7 +215,7 @@ let run ?(stack = Retrans_over_channel) ?(config = soak_config) ?fault
         if messages < 1 then invalid_arg "Stackflow: messages < 1";
         List.init nodes (fun i -> (i, (i + (nodes / 2)) mod nodes, messages))
   in
-  let machine = Machine.create ~config ~cost ?fault ?fault_links kind () in
+  let machine = Machine.create ~config ?fault ?fault_links kind () in
   let mon = Machine.attach_monitor machine in
   let sim = Machine.sim machine in
   let rcfg = retrans_config rto_ns in
@@ -306,6 +306,7 @@ let run ?(stack = Retrans_over_channel) ?(config = soak_config) ?fault
     && !corrupt_leaks = 0
   in
   {
+    flows = List.length flows;
     expected;
     delivered = !delivered;
     retransmits = !retransmits;
@@ -341,10 +342,10 @@ let stamped ~bytes conn _ =
 
 let pair
     ?(config = Flipc_flow.Provision.config_for ~base:Config.default ~buffers:12)
-    ?cost ?fault ?fault_links
-    ?(retrans = Flipc_flow.Retrans_layer.default_config) ?(pace_ns = 0)
+    ?fault ?fault_links ?(retrans = Flipc_flow.Retrans_layer.default_config)
+    ?(pace_ns = 0)
     ?payload ?(payload_bytes = 8) ~kind ~messages () =
-  let machine = Machine.create ~config ?cost ?fault ?fault_links kind () in
+  let machine = Machine.create ~config ?fault ?fault_links kind () in
   let sim = Machine.sim machine in
   let payload =
     match payload with

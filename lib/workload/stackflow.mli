@@ -29,7 +29,8 @@ type stack =
 val stack_name : stack -> string
 
 type result = {
-  expected : int;
+  flows : int;
+  expected : int;  (** messages over all flows *)
   delivered : int;
   retransmits : int;  (** 0 for stacks without a retransmission layer *)
   corrupt_leaks : int;  (** delivered payloads that failed verification *)
@@ -75,7 +76,6 @@ val scenario_fault :
       buffers, frame checksum on)
     @param fault fabric-wide fault injection (default none)
     @param fault_links per-link fault overrides
-    @param cost memory cost model (default paragon)
     @param rto_ns retransmission timeout for the retrans layer
       (default 200us; set above the fabric round trip)
     @param pace_ns inter-message virtual delay per sender (default 25us)
@@ -93,7 +93,6 @@ val run :
   ?config:Flipc.Config.t ->
   ?fault:Flipc_net.Faulty.config ->
   ?fault_links:Flipc_net.Faulty.links ->
-  ?cost:Flipc_memsim.Cost_model.t ->
   ?rto_ns:int ->
   ?pace_ns:int ->
   ?budget:Flipc_sim.Vtime.t ->
@@ -143,7 +142,6 @@ type pair = {
       8, at most what the connection carries) *)
 val pair :
   ?config:Flipc.Config.t ->
-  ?cost:Flipc_memsim.Cost_model.t ->
   ?fault:Flipc_net.Faulty.config ->
   ?fault_links:Flipc_net.Faulty.links ->
   ?retrans:Flipc_flow.Retrans_layer.config ->

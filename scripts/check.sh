@@ -255,6 +255,19 @@ echo "== soak matrix gate =="
 # the run replays bit-identically.
 dune exec bin/flipc_cli.exe -- soakmatrix --assert-clean --fault-seed 21 \
   --out "$obs_tmp/soak_matrix.json" >/dev/null
+# The matrix driver's selection path (shared by soakmatrix and stack):
+# one selected cell must be exactly that cell of the full run, and a
+# selection that names no cell exits 2 (the window stack runs only the
+# clean scenario).
+dune exec bin/flipc_cli.exe -- soakmatrix --fault-seed 21 --fabric scsi \
+  --scenario corrupt --json --out - >"$obs_tmp/soak_cell.json"
+status=0
+dune exec bin/flipc_cli.exe -- stack --stack window --scenario corrupt \
+  --out - >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || {
+  echo "stack --stack window --scenario corrupt exited $status, not 2" >&2
+  exit 1
+}
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "
 import json
@@ -270,9 +283,15 @@ for cell in doc['cells']:
 corrupting = [c for c in doc['cells'] if c['scenario'] in ('corrupt', 'combined')]
 assert all(c['corrupt_frames_dropped'] > 0 for c in corrupting), \
     'corruption scenarios injected no detected corruption'
+sel = json.load(open('$obs_tmp/soak_cell.json'))
+want = [c for c in doc['cells'] if (c['fabric'], c['scenario']) == ('scsi', 'corrupt')]
+assert len(want) == 1 and sel['cells'] == want, \
+    'soakmatrix --fabric scsi --scenario corrupt differs from its full-run cell'
 "
 else
   grep -q '"clean":true}$' "$obs_tmp/soak_matrix.json"
+  grep -q '"cells":\[{"fabric":"scsi","scenario":"corrupt"' \
+    "$obs_tmp/soak_cell.json"
 fi
 
 echo "== layered transport gate =="

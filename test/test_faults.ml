@@ -165,12 +165,12 @@ let fail_on_error p =
   | Some e -> Alcotest.fail (Flipc_flow.Transport.error_to_string e)
   | None -> ()
 
-let run_reliable ~kind ?cost ?(frame_checksum = false) ~fault ?fault_links
+let run_reliable ~kind ?(frame_checksum = false) ~fault ?fault_links
     ~messages ~rto_ns ?mode ?ack_every () =
   let config = Provision.config_for ~base:Config.default ~buffers:12 in
   let config = { config with Config.frame_checksum } in
   let p =
-    Stackflow.pair ~config ?cost ~fault ?fault_links
+    Stackflow.pair ~config ~fault ?fault_links
       ~retrans:(rcfg ?mode ?ack_every rto_ns) ~payload:encode_int ~kind
       ~messages ()
   in
@@ -223,7 +223,6 @@ let test_reliable_ethernet_loss () =
   let r =
     run_reliable
       ~kind:(Machine.Ethernet { nodes = 2 })
-      ~cost:Flipc_memsim.Cost_model.pc_cluster
       ~fault:(Faulty.config ~drop:0.10 ~seed:5 ())
       ~messages ~rto_ns:1_000_000 ()
   in
@@ -236,7 +235,6 @@ let test_reliable_scsi_combined () =
   let r =
     run_reliable
       ~kind:(Machine.Scsi { nodes = 2 })
-      ~cost:Flipc_memsim.Cost_model.pc_cluster
       ~fault:
         (Faulty.config ~drop:0.05 ~duplicate:0.05 ~reorder:0.05
            ~reorder_hold_ns:200_000 ~seed:9 ())
@@ -623,7 +621,10 @@ let test_fault_tallies_pinned () =
   check "ge occupancy accounts every packet" 500
     (st.Faulty.ge_good_pkts + st.Faulty.ge_bad_pkts);
   check "wire conservation" (List.length !seen)
-    (500 - st.Faulty.dropped - st.Faulty.burst_dropped + st.Faulty.duplicated)
+    (500 - st.Faulty.dropped - st.Faulty.burst_dropped + st.Faulty.duplicated);
+  Alcotest.(check bool)
+    "tally JSON round-trips" true
+    (Faulty.stats_of_json (Faulty.stats_json st) = Some st)
 
 (* Bugfix regression: reorder_hold_ns = 0 used to count "reorders" and
    defer packets by a zero hold that could never let anything overtake

@@ -614,7 +614,7 @@ let test_many_nodes () =
 (* Ethernet and SCSI machines run the identical application code: the
    paper's portability claim for the library + communication buffer. *)
 let portability_roundtrip kind =
-  let machine = Machine.create ~cost:Flipc_memsim.Cost_model.pc_cluster kind () in
+  let machine = Machine.create kind () in
   let addr_box = Mailbox.create () in
   let received = ref "" in
   Machine.spawn_app machine ~node:1 (fun api ->
